@@ -37,7 +37,7 @@ for it in range(1, 3):
     print(f"  new bound: {q.hessian[0,0]/2:.3f} x^2 {q.linear[0]:+.3f} x {q.constant:+.3f}")
     V.append(bound)
 
-value, active = gddp.eval_value_approx(V, x_hat)
+value, active = V.evaluate(x_hat)
 print(f"\napproximation at x=2 is now {value:.4f} (active bound index {active})")
 
 # the full driver reproduces the same sequence and stops at tolerance

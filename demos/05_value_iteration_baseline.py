@@ -34,7 +34,7 @@ print(f"dual iteration: {len(result.V_hat)} bounds, converged={result.converged}
 print(f"\n{'x':>6} {'grid VI':>10} {'riccati':>10} {'max bound':>10}")
 for x in [0.5, 1.0, 2.0, 4.0, 8.0]:
     grid_val = gvf.evaluate([x])
-    vhat, _ = gddp.eval_value_approx(result.V_hat, [x])
+    vhat, _ = result.V_hat.evaluate([x])
     print(f"{x:>6.1f} {grid_val:>10.5f} {0.5 * p * x * x:>10.5f} {vhat:>10.5f}")
 print("\n(riccati ignores the input box, so it diverges from grid VI for large |x|)")
 

@@ -43,7 +43,6 @@ from .driver import (
     bellman_error,
     gddp_iterate,
     pick_next_state,
-    prune_redundant,
     run,
     solve_onestage,
 )
@@ -94,7 +93,6 @@ from .problem import (
     ValueApprox,
     eval_dynamics,
     eval_stage_cost,
-    eval_value_approx,
     load_problem,
     problem_from_dict,
     problem_to_dict,

@@ -399,15 +399,12 @@ def run_ball_and_beam(
     x0=None,
     grid_points: int = 601,
     picker: Picker = Picker.ROUND_ROBIN,
-    measure_every: int = 0,
 ):
     """Incremental-budget runs with a greedy rollout snapshot at each budget.
 
     A single run is advanced through the sorted iteration budgets; at each
     checkpoint the greedy policy under the current approximation is rolled
-    out from ``x0`` and recorded.  ``measure_every`` > 0 refreshes all
-    Bellman errors at that cadence (useful for the largest-error picker in
-    this fixed-budget mode).  Returns a list of (budget, trajectory).
+    out from ``x0`` and recorded.  Returns a list of (budget, trajectory).
     """
     spec = ball_and_beam_spec()
     rng = np.random.default_rng(seed)
@@ -424,10 +421,6 @@ def run_ball_and_beam(
     done = 0
     for budget in sorted(iters_list):
         while done < budget:
-            if measure_every and done % measure_every == 0:
-                for idx in state.feasible_indices:
-                    err = bellman_error(spec, state.V, state.sample_set[idx], solver_cfg)
-                    state.bellman_errors[idx] = err.value if err.feasible else 0.0
             gddp_iterate(spec, state, cfg, pick_rng)
             done += 1
         traj = rollout_greedy(spec, state.V.snapshot(), x0, rollout_steps, solver_cfg)

@@ -58,7 +58,6 @@ __all__ = [
 
 class CertMethod(enum.Enum):
     M1 = "M1"
-    M2 = "M2"
     MIXED = "Mixed"
 
 

@@ -39,7 +39,6 @@ __all__ = [
     "pick_next_state",
     "gddp_iterate",
     "run",
-    "prune_redundant",
     "solve_onestage",
 ]
 
@@ -58,7 +57,6 @@ class GddpConfig:
     picker: Picker = Picker.MAX_BELLMAN_ERROR
     check_every: int = 5
     rng_seed: int = 0
-    prune: bool = False
     solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
@@ -289,8 +287,6 @@ def run(spec: ProblemSpec, sample_set, cfg: Optional[GddpConfig] = None) -> Gddp
     while True:
         if state.iteration % cfg.check_every == 0:
             _measure_all_errors(spec, state, cfg)
-            if cfg.prune and len(state.V) > 2:
-                state.V = prune_redundant(state.V, state.sample_set)
             if _converged(state, cfg.delta):
                 converged = True
                 break
@@ -311,72 +307,3 @@ def run(spec: ProblemSpec, sample_set, cfg: Optional[GddpConfig] = None) -> Gddp
         trace=state.history,
     )
 
-
-# ---------------------------------------------------------------------------
-# Pruning
-
-
-def prune_redundant(V: ValueApprox, probes) -> ValueApprox:
-    """Drop bounds that are certifiably dominated by a single other bound.
-
-    A quadratic bound is dominated when another kept bound has an identical
-    hessian and linear part and an offset at least as large, making the
-    pairwise difference a nonnegative constant everywhere.  Probe values
-    are used only to short-circuit (a bound strictly on top somewhere is
-    never dominated); inconclusive cases are kept, and the pointwise
-    maximum is unchanged at every state.  The zero bound at index 0 is
-    always retained.
-    """
-    bounds = list(V.bounds)
-    if len(bounds) <= 1:
-        return V.replaced(bounds)
-    probes = np.atleast_2d(np.asarray(probes, dtype=float))
-    vals = np.stack([b.evaluate_batch(probes) for b in bounds], axis=0)  # (B, P)
-
-    keep = np.ones(len(bounds), dtype=bool)
-    for i in range(1, len(bounds)):
-        others = keep.copy()
-        others[i] = False
-        if not others.any():
-            continue
-        # probe screen: strictly active somewhere -> certainly not dominated
-        if np.any(vals[i] > vals[others].max(axis=0)):
-            continue
-        if _dominated_by_any(bounds, i, np.nonzero(others)[0]):
-            keep[i] = False
-    return V.replaced([b for b, k in zip(bounds, keep) if k])
-
-
-def _dominated_by_any(bounds, i, candidates) -> bool:
-    gi = bounds[i]
-    for j in candidates:
-        gj = bounds[j]
-        if gi.materialized is not None and gj.materialized is not None:
-            if (
-                np.array_equal(gi.materialized.hessian, gj.materialized.hessian)
-                and np.array_equal(gi.materialized.linear, gj.materialized.linear)
-                and gj.materialized.constant >= gi.materialized.constant
-            ):
-                return True
-        elif gi.materialized is None and gj.materialized is None:
-            if (
-                np.array_equal(gi.coeff_lambda_beta, gj.coeff_lambda_beta)
-                and np.array_equal(gi.coeff_lambda_c, gj.coeff_lambda_c)
-                and np.array_equal(gi.coeff_nu, gj.coeff_nu)
-                and _same_zeta2(gi.zeta2_spec, gj.zeta2_spec)
-                and gj.offset >= gi.offset
-            ):
-                return True
-    return False
-
-
-def _same_zeta2(a, b) -> bool:
-    if a is None and b is None:
-        return True
-    if (a is None) != (b is None):
-        return False
-    return (
-        np.array_equal(a.nu, b.nu)
-        and np.array_equal(a.w_const, b.w_const)
-        and np.array_equal(a.M, b.M)
-    )

@@ -62,7 +62,6 @@ class SolverConfig:
     duality_gap_tol: float = 1e-7
     bruteforce_grid: Optional[int] = None  # per input dimension; None -> 2001 (m=1) or 101
     refine_newton_steps: int = 5
-    verbose: bool = False
 
     def __post_init__(self):
         if self.kkt_tol <= 0 or self.max_iters <= 0 or self.duality_gap_tol <= 0:
@@ -135,30 +134,17 @@ def input_feasible_point(spec: ProblemSpec, x_hat: np.ndarray):
     m = spec.m
     if cons.n_c == 0:
         return np.zeros(m)
-    h = cons.rhs(x_hat)
-
-    lo = np.full(m, -np.inf)
-    hi = np.full(m, np.inf)
-    box_like = True
-    for i in range(cons.n_c):
-        row = cons.E[i]
-        nz = np.nonzero(row)[0]
-        if len(nz) != 1:
-            box_like = False
-            break
-        j = nz[0]
-        bound = h[i] / row[j]
-        if row[j] > 0:
-            hi[j] = min(hi[j], bound)
-        else:
-            lo[j] = max(lo[j], bound)
-    if box_like:
+    box = cons.row_box(x_hat)
+    if box is not None:
+        lo, hi = box
         if np.any(lo > hi + 1e-12):
             return None
         mid = np.where(np.isfinite(lo) & np.isfinite(hi), 0.5 * (lo + hi), 0.0)
-        return np.clip(mid, np.where(np.isfinite(lo), lo, -np.inf), np.where(np.isfinite(hi), hi, np.inf))
+        return np.clip(mid, lo, hi)
 
     from scipy.optimize import linprog
+
+    h = cons.rhs(x_hat)
 
     # minimize t subject to E u - t <= h; t* > 0 certifies emptiness
     c = np.zeros(m + 1)
@@ -263,8 +249,7 @@ class _EpigraphProblem:
         z = np.zeros(self.dim)
         z[: self.m] = u0
         term_vals = self.phi_hat + self.r_mat @ u0 + 0.5 * np.einsum("jab,a,b->j", self.R_stack, u0, u0)
-        for k in range(self.K):
-            z[self.m + k] = term_vals[self.owners == k].max() + 1.0
+        z[self.m : self.m + self.K] = self.spec.cost.owner_max(term_vals) + 1.0
         xp = self.x_plus(u0)
         bvals = 0.5 * np.einsum("iab,a,b->i", self.Hb, xp, xp) + self.lb @ xp + self.cb
         z[-1] = bvals.max() + 1.0
@@ -288,9 +273,7 @@ def _ipm_solve(prob: _EpigraphProblem, cfg: SolverConfig, u0):
     p = prob.p
 
     converged = False
-    trace = []
-    last_alpha = 0.0
-    for it in range(cfg.max_iters):
+    for _ in range(cfg.max_iters):
         Jm = prob.jacobian(Ru, Pu_u)
         r_d = c + Jm.T @ lam
         r_p = F + s
@@ -299,8 +282,6 @@ def _ipm_solve(prob: _EpigraphProblem, cfg: SolverConfig, u0):
         prim_viol = max(0.0, float(F.max()))
         comp = float(np.abs(lam * F).max())
         gap = float(abs(lam @ F))
-        if cfg.verbose:
-            trace.append((it, float(np.abs(r_d).max()), float(np.abs(r_p).max()), gap, last_alpha))
         if (
             np.abs(r_d).max() <= cfg.kkt_tol * scale
             and prim_viol <= cfg.kkt_tol * scale
@@ -353,15 +334,11 @@ def _ipm_solve(prob: _EpigraphProblem, cfg: SolverConfig, u0):
         alpha = min(1.0, 0.995 * min(_max_step(s, ds), _max_step(lam, dlam)))
         if not np.isfinite(alpha) or alpha <= 1e-14:
             break
-        last_alpha = alpha
         z = z + alpha * dz
         s = np.maximum(s + alpha * ds, 1e-300)
         lam = np.maximum(lam + alpha * dlam, 1e-300)
         F, Ru, Pu_u = prob.constraint_values(z)
 
-    if cfg.verbose and trace:
-        for rec in trace:
-            print("ipm iter %3d  r_d %.2e  r_p %.2e  gap %.2e  step %.3f" % rec)
     return z, lam, converged
 
 
@@ -407,7 +384,7 @@ def solve_onestage_convex(
     u = z[: spec.m]
     x_plus = prob.x_plus(u)
     term_vals = prob.phi_hat + prob.r_mat @ u + 0.5 * np.einsum("jab,a,b->j", prob.R_stack, u, u)
-    beta = np.array([term_vals[prob.owners == k].max() for k in range(spec.cost.K)])
+    beta = spec.cost.owner_max(term_vals)
     bvals = 0.5 * np.einsum("iab,a,b->i", prob.Hb, x_plus, x_plus) + prob.lb @ x_plus + prob.cb
     alpha = float(bvals.max())
     J_P = float(beta.sum() + spec.gamma * alpha)
@@ -556,10 +533,7 @@ def _objective_batch(spec: ProblemSpec, V: ValueApprox, x_hat, U):
     r_mat = spec.cost.r_matrix()
     R_stk = spec.cost.R_stack()
     term_vals = phis + U @ r_mat.T + 0.5 * np.einsum("jab,pa,pb->pj", R_stk, U, U)
-    cost = np.zeros(len(U))
-    owners = spec.cost.owners
-    for k in range(spec.cost.K):
-        cost += term_vals[:, owners == k].max(axis=1)
+    cost = spec.cost.owner_max(term_vals).sum(axis=1)
     vhat = V.values_batch(X_plus)
     return cost + spec.gamma * vhat, X_plus
 
@@ -573,27 +547,25 @@ def _refine_newton(spec, V, x_hat, u, box, steps):
     r_mat = spec.cost.r_matrix()
     R_stk = spec.cost.R_stack()
     phis = spec.cost.phi_vector(x_hat)
-    bounds = V.bounds
 
     def total(uu):
         val, _ = _objective_batch(spec, V, x_hat, uu.reshape(1, -1))
         return float(val[0])
 
-    def piece_grad(uu, act_terms, i_star):
+    def piece_grad(uu, act_terms, bound):
         g = np.zeros(spec.m)
         for j in act_terms:
             g += r_mat[j] + R_stk[j] @ uu
         xp = drift + W @ uu
-        g += spec.gamma * (W.T @ bounds[i_star].gradient(xp))
+        g += spec.gamma * (W.T @ bound.gradient(xp))
         return g
 
     f_cur = total(u)
     for _ in range(steps):
         term_vals = phis + r_mat @ u + 0.5 * np.einsum("jab,a,b->j", R_stk, u, u)
         act_terms = [int(np.argmax(np.where(owners == k, term_vals, -np.inf))) for k in range(spec.cost.K)]
-        xp = drift + W @ u
-        i_star = int(np.argmax([b.evaluate(xp) for b in bounds]))
-        grad = piece_grad(u, act_terms, i_star)
+        active = V.bounds[V.evaluate(drift + W @ u)[1]]
+        grad = piece_grad(u, act_terms, active)
         # finite-difference Hessian of the frozen-piece gradient
         H = np.zeros((spec.m, spec.m))
         for d in range(spec.m):
@@ -601,7 +573,7 @@ def _refine_newton(spec, V, x_hat, u, box, steps):
             up, um = u.copy(), u.copy()
             up[d] += step
             um[d] -= step
-            H[:, d] = (piece_grad(up, act_terms, i_star) - piece_grad(um, act_terms, i_star)) / (2 * step)
+            H[:, d] = (piece_grad(up, act_terms, active) - piece_grad(um, act_terms, active)) / (2 * step)
         H = 0.5 * (H + H.T)
         try:
             d_dir = -np.linalg.solve(H + 1e-12 * np.eye(spec.m), grad)
@@ -660,8 +632,7 @@ def solve_onestage_bruteforce(
         u = _refine_newton(spec, V, x_hat, u, (lo, hi), cfg.refine_newton_steps)
 
     x_plus = spec.dynamics.drift(x_hat) + spec.dynamics.input_matrix(x_hat) @ u
-    term_vals = spec.cost.term_values(x_hat, u)
-    beta = np.array([term_vals[spec.cost.owners == k].max() for k in range(spec.cost.K)])
+    beta = spec.cost.owner_max(spec.cost.term_values(x_hat, u))
     alpha = V.value(x_plus)
     J_P = float(beta.sum() + spec.gamma * alpha)
     primal = OneStageSolution(
@@ -684,7 +655,7 @@ def recover_duals_kkt(spec: ProblemSpec, V: ValueApprox, x_hat: np.ndarray, prim
     x_plus = primal.x_plus_star
     bounds = V.bounds
 
-    bvals = np.array([b.evaluate(x_plus) for b in bounds])
+    bvals = V._bound_values(x_plus.reshape(1, -1))[0]
     vmax = bvals.max()
     act_b = bvals >= vmax - 1e-7 * (1.0 + abs(vmax))
     lambda_alpha = np.where(act_b, spec.gamma / act_b.sum(), 0.0)

@@ -15,6 +15,7 @@ one-stage dual solutions (see :mod:`gddp.onestage`).
 
 from __future__ import annotations
 
+import copy
 import enum
 import json
 from dataclasses import dataclass, field
@@ -40,7 +41,6 @@ __all__ = [
     "validate_spec",
     "eval_dynamics",
     "eval_stage_cost",
-    "eval_value_approx",
     "load_problem",
     "save_problem",
     "problem_from_dict",
@@ -314,12 +314,14 @@ class StageCost:
         """Gradients of phi_j at x as rows, shape (J, n)."""
         return np.stack([t.phi.gradient(x) for t in self.terms])
 
+    def owner_max(self, term_values: np.ndarray) -> np.ndarray:
+        """Maximum over each owner's terms: (..., J) term values -> (..., K)."""
+        mine = self.owners == np.arange(self.K)[:, None]  # (K, J); every owner has a term
+        return np.where(mine, np.asarray(term_values)[..., None, :], -np.inf).max(axis=-1)
+
     def evaluate(self, x: np.ndarray, u: np.ndarray) -> float:
-        vals = self.term_values(x, u)
-        total = 0.0
-        for k in range(self.K):
-            total += vals[self.owners == k].max()
-        return float(total)
+        # left-to-right sum, equal to a term-by-term accumulation
+        return float(sum(self.owner_max(self.term_values(x, u)), 0.0))
 
     def term_values(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         # per-term evaluation so the result agrees exactly with a
@@ -329,17 +331,11 @@ class StageCost:
 
 @dataclass(frozen=True)
 class InputConstraintSet:
-    """Polyhedral state-dependent input constraints E u <= h0 + H x.
-
-    ``u_box`` optionally records explicit elementwise input bounds used by
-    the brute-force solver grid; for pure box constraints it is derived
-    automatically.
-    """
+    """Polyhedral state-dependent input constraints E u <= h0 + H x."""
 
     E: np.ndarray
     h0: np.ndarray
     H: np.ndarray
-    u_box: Optional[tuple] = None
 
     def __post_init__(self):
         E = np.asarray(self.E, dtype=float)
@@ -352,10 +348,6 @@ class InputConstraintSet:
         if H.size == 0:
             H = np.zeros((n_c, 0))
         object.__setattr__(self, "H", np.atleast_2d(H))
-        if self.u_box is not None:
-            lo = np.asarray(self.u_box[0], dtype=float).reshape(-1)
-            hi = np.asarray(self.u_box[1], dtype=float).reshape(-1)
-            object.__setattr__(self, "u_box", (lo, hi))
 
     @classmethod
     def box(cls, lo, hi, n: int) -> "InputConstraintSet":
@@ -365,7 +357,7 @@ class InputConstraintSet:
         m = lo.shape[0]
         E = np.vstack([np.eye(m), -np.eye(m)])
         h0 = np.concatenate([hi, -lo])
-        return cls(E=E, h0=h0, H=np.zeros((2 * m, n)), u_box=(lo, hi))
+        return cls(E=E, h0=h0, H=np.zeros((2 * m, n)))
 
     @classmethod
     def unconstrained(cls, m: int, n: int) -> "InputConstraintSet":
@@ -374,10 +366,6 @@ class InputConstraintSet:
     @property
     def n_c(self) -> int:
         return self.E.shape[0]
-
-    @property
-    def is_state_dependent(self) -> bool:
-        return self.H.size > 0 and np.any(self.H != 0.0)
 
     def rhs(self, x: np.ndarray) -> np.ndarray:
         """h(x) = h0 + H x."""
@@ -397,15 +385,12 @@ class InputConstraintSet:
             return True
         return bool(np.all(self.E @ np.asarray(u, dtype=float) <= self.rhs(x) + tol))
 
-    def derived_box(self, x: np.ndarray):
-        """Elementwise input bounds at x, or None when not box-shaped.
+    def row_box(self, x: np.ndarray):
+        """Elementwise input bounds (lo, hi) at x, possibly infinite.
 
-        Returns the explicit ``u_box`` when present and the right-hand side
-        is constant; otherwise recognises rows of E that are (scaled)
-        +-unit vectors and intersects them at the given state.
+        Every row of E must be a (scaled) +-unit vector; the rows are
+        intersected at the given state.  Returns None when some row is not.
         """
-        if self.u_box is not None and not self.is_state_dependent:
-            return self.u_box
         m = self.E.shape[1]
         lo = np.full(m, -np.inf)
         hi = np.full(m, np.inf)
@@ -420,9 +405,12 @@ class InputConstraintSet:
                 hi[j] = min(hi[j], h[i] / row[j])
             else:
                 lo[j] = max(lo[j], h[i] / row[j])
-        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-            return None
         return lo, hi
+
+    def derived_box(self, x: np.ndarray):
+        """Finite elementwise input bounds at x, or None when not box-shaped."""
+        box = self.row_box(x)
+        return box if box is not None and np.all(np.isfinite(box)) else None
 
 
 class ProblemClass(enum.Enum):
@@ -523,18 +511,6 @@ class Zeta2Term:
     def value(self, spec: ProblemSpec, x: np.ndarray) -> float:
         return self.value_of_w(self.w_at(spec, x))
 
-    def value_batch(self, spec: ProblemSpec, X: np.ndarray, Fu: np.ndarray = None) -> np.ndarray:
-        if Fu is None:
-            Fu = spec.dynamics.input_matrix(X)  # (P, n, m)
-        W = np.einsum("pnm,n->pm", Fu, self.nu) + self.w_const
-        pos = self._split()
-        Y = W @ self.eigvecs  # (P, m) coordinates
-        out = -0.5 * np.sum(Y[:, pos] ** 2 / self.eigvals[pos], axis=1) if pos.any() else np.zeros(len(Y))
-        perp = np.linalg.norm(Y[:, ~pos], axis=1)
-        bad = perp > self.RANGE_TOL * np.maximum(np.linalg.norm(W, axis=1), 1e-30)
-        out[bad] = -np.inf
-        return out
-
     def gradient(self, spec: ProblemSpec, x: np.ndarray) -> np.ndarray:
         """d zeta2 / d x; requires the input-matrix Jacobian."""
         w = self.w_at(spec, x)
@@ -544,49 +520,6 @@ class Zeta2Term:
         dFu = spec.dynamics.input_matrix_jacobian(x)  # (n, m, n)
         dw_dx = np.einsum("nmk,n->mk", dFu, self.nu)  # (m, n)
         return -dw_dx.T @ pinv_w
-
-
-class BatchFeatures:
-    """State features shared by all coefficient-form bounds at a probe batch.
-
-    Computed lazily and once, so evaluating many bounds at the same states
-    does not re-evaluate the problem's drift, cost, and constraint maps.
-    """
-
-    def __init__(self, spec: ProblemSpec, X: np.ndarray):
-        self._spec = spec
-        self._X = np.asarray(X, dtype=float)
-        self._phi = None
-        self._h = None
-        self._fx = None
-        self._Fu = None
-
-    @property
-    def phi(self) -> np.ndarray:
-        if self._phi is None:
-            self._phi = self._spec.cost.phi_batch(self._X)
-        return self._phi
-
-    @property
-    def h(self) -> np.ndarray:
-        if self._h is None:
-            self._h = self._spec.constraints.rhs_batch(self._X)
-        return self._h
-
-    @property
-    def fx(self) -> np.ndarray:
-        if self._fx is None:
-            self._fx = self._spec.dynamics.drift(self._X)
-        return self._fx
-
-    @property
-    def Fu(self) -> np.ndarray:
-        if self._Fu is None:
-            Fu = self._spec.dynamics.input_matrix(self._X)
-            if Fu.ndim == 2:
-                Fu = np.broadcast_to(Fu, (len(self._X),) + Fu.shape)
-            self._Fu = Fu
-        return self._Fu
 
 
 @dataclass(frozen=True)
@@ -656,23 +589,6 @@ class LowerBound:
             val += self.zeta2_spec.value(spec, x)
         return val
 
-    def evaluate_batch(self, X: np.ndarray, features: "BatchFeatures" = None) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        if self.materialized is not None:
-            return self.materialized.batch(X)
-        spec = self.spec
-        if features is None:
-            features = BatchFeatures(spec, X)
-        vals = (
-            features.phi @ self.coeff_lambda_beta
-            - features.h @ self.coeff_lambda_c
-            + features.fx @ self.coeff_nu
-            + self.offset
-        )
-        if self.zeta2_spec is not None:
-            vals = vals + self.zeta2_spec.value_batch(spec, X, Fu=features.Fu)
-        return vals
-
     def gradient(self, x: np.ndarray) -> np.ndarray:
         if self.materialized is not None:
             return self.materialized.gradient(x)
@@ -687,26 +603,124 @@ class LowerBound:
         return grad
 
 
-class ValueApprox:
-    """Pointwise maximum of lower bounds; append-only across iterations.
+def _quadratic_row(bound: LowerBound) -> tuple:
+    q = bound.materialized
+    return q.hessian, q.linear, q.constant
 
-    The bound list always contains the zero bound at index 0, so the
-    approximation is nonnegative everywhere.  Published bounds are never
-    mutated; readers may take a snapshot of the current list while a
-    driver appends the next bound.
+
+def _coefficient_row(bound: LowerBound, spec: ProblemSpec) -> tuple:
+    if spec is None:
+        raise ValueError("coefficient-form bounds need a value approximation with an attached problem")
+    lam_beta, lam_c, nu, offset = bound.coeff_lambda_beta, bound.coeff_lambda_c, bound.coeff_nu, bound.offset
+    if lam_beta.shape != (spec.cost.J,) or lam_c.shape != (spec.constraints.n_c,):
+        # the zero bound carries no multipliers; any other quadratic-only
+        # bound has no coefficient form to stack
+        q = bound.materialized
+        if q is None or q.hessian.any() or q.linear.any() or q.constant != 0.0:
+            raise ValueError(f"bound {bound.bound_id} has no coefficient form for this problem")
+        lam_beta, lam_c, nu, offset = np.zeros(spec.cost.J), np.zeros(spec.constraints.n_c), np.zeros(spec.n), 0.0
+    z = bound.zeta2_spec
+    if z is None:
+        m = spec.m
+        return lam_beta, lam_c, nu, offset, np.zeros(spec.n), np.zeros(m), np.ones(m), np.eye(m), np.zeros(m, dtype=bool)
+    pos = z._split()
+    return lam_beta, lam_c, nu, offset, z.nu, z.w_const, np.where(pos, z.eigvals, 1.0), z.eigvecs, pos
+
+
+def _stack_rows(rows) -> tuple:
+    return tuple(np.stack(col) for col in zip(*rows))
+
+
+def _extend(arrays: tuple, row: tuple) -> tuple:
+    return tuple(np.concatenate([a, np.asarray(r)[None]]) for a, r in zip(arrays, row))
+
+
+@dataclass(frozen=True)
+class _BoundBank:
+    """The bounds of a :class:`ValueApprox` as rows of stacked arrays.
+
+    ``quadratic`` is (H, l, c) with shapes (B, n, n), (B, n), (B,) when
+    every bound is materialized, and None otherwise.  ``coefficient`` is
+    set exactly when ``quadratic`` is not: the multiplier rows lambda_beta
+    (B, J), lambda_c (B, n_c), nu (B, n) and the offsets (B,), then the
+    stacked zeta2 data nu (B, n), w_const (B, m), eigenvalues (B, m) with
+    the non-positive ones replaced by 1, eigenvectors (B, m, m) and the
+    positive-eigenvalue mask (B, m).  A bound without a zeta2 term has
+    zero zeta2 rows, which evaluate to 0.  The arrays are never written
+    after construction.
+    """
+
+    bounds: tuple
+    quadratic: Optional[tuple]
+    coefficient: Optional[tuple]
+
+    @classmethod
+    def stacked(cls, bounds: tuple, spec: Optional[ProblemSpec]) -> "_BoundBank":
+        if all(b.materialized is not None for b in bounds):
+            return cls(bounds, _stack_rows(_quadratic_row(b) for b in bounds), None)
+        return cls(bounds, None, _stack_rows(_coefficient_row(b, spec) for b in bounds))
+
+    def appended(self, bound: LowerBound, spec: Optional[ProblemSpec]) -> "_BoundBank":
+        bounds = self.bounds + (bound,)
+        if self.coefficient is not None:
+            return _BoundBank(bounds, None, _extend(self.coefficient, _coefficient_row(bound, spec)))
+        if bound.materialized is not None:
+            return _BoundBank(bounds, _extend(self.quadratic, _quadratic_row(bound)), None)
+        return _BoundBank.stacked(bounds, spec)
+
+    def values(self, X: np.ndarray, spec: Optional[ProblemSpec]) -> np.ndarray:
+        """Every bound's value at each row of X: (P, n) -> (P, B).
+
+        Each bound is evaluated with the same arithmetic at every index, so
+        identical bounds tie exactly.
+        """
+        if self.quadratic is not None:
+            H, lin, con = self.quadratic
+            if len(X) == 1:
+                # one state: per bound the products of QuadraticForm.__call__,
+                # so a single-point value equals the scalar reference bit for bit
+                row, col = X[:, None, :], X[0][:, None]
+                return (np.matmul(np.matmul(0.5 * row, H), col) + np.matmul(lin[:, None, :], col))[:, 0, 0][None] + con
+            return 0.5 * np.einsum("pi,bij,pj->pb", X, H, X) + np.einsum("pi,bi->pb", X, lin) + con
+        lam_beta, lam_c, nu, offset, z_nu, w_const, eigvals, eigvecs, pos = self.coefficient
+        vals = (
+            np.einsum("pj,bj->pb", spec.cost.phi_batch(X), lam_beta)
+            - np.einsum("pc,bc->pb", spec.constraints.rhs_batch(X), lam_c)
+            + np.einsum("pn,bn->pb", spec.dynamics.drift(X), nu)
+            + offset
+        )
+        # zeta2 = -1/2 w' M^+ w on the range of M, -inf off it (see Zeta2Term)
+        W = np.einsum("pnm,bn->pbm", spec.dynamics.input_matrix(X), z_nu) + w_const
+        Y = np.einsum("pbm,bmk->pbk", W, eigvecs)
+        Y2 = Y * Y
+        zeta = -0.5 * np.where(pos, Y2 / eigvals, 0.0).sum(axis=2)
+        perp = np.sqrt(np.where(pos, 0.0, Y2).sum(axis=2))
+        bad = perp > Zeta2Term.RANGE_TOL * np.maximum(np.linalg.norm(W, axis=2), 1e-30)
+        return vals + np.where(bad, -np.inf, zeta)
+
+
+class ValueApprox:
+    """Pointwise maximum of lower bounds, held in one stacked bound bank.
+
+    The bounds always include the zero bound at index 0, so the
+    approximation is nonnegative everywhere.  The bank stores each bound
+    as one row of stacked arrays: quadratic forms when every bound is
+    materialized, otherwise multiplier coefficients with the stacked
+    zeta2 data (see :class:`_BoundBank`).  A single kernel evaluates all
+    B bounds at P states as a (P, B) matrix; ``evaluate`` (one state),
+    ``evaluate_batch`` and ``values_batch`` read it and break ties toward
+    the smallest index.  Appending publishes new arrays and never writes
+    published ones, so readers may take a snapshot while a driver appends
+    the next bound and always see a consistent prefix.
     """
 
     def __init__(self, n: int, spec: Optional[ProblemSpec] = None, bounds: Optional[Sequence[LowerBound]] = None):
         self.n = n
         self.spec = spec
-        if bounds is None:
-            self._bounds = [LowerBound.zero(n)]
-        else:
-            bounds = list(bounds)
-            if not bounds:
-                raise ValueError("value approximation requires at least the zero bound")
-            self._bounds = bounds
-        self._stack_cache = None
+        bounds = (LowerBound.zero(n),) if bounds is None else tuple(bounds)
+        if not bounds:
+            raise ValueError("value approximation requires at least the zero bound")
+        self._bank = _BoundBank.stacked(bounds, spec)
 
     @classmethod
     def initial(cls, spec: ProblemSpec) -> "ValueApprox":
@@ -714,71 +728,48 @@ class ValueApprox:
 
     @property
     def bounds(self) -> tuple:
-        return tuple(self._bounds)
+        return self._bank.bounds
 
     @property
     def iteration(self) -> int:
         """Index I of the newest bound."""
-        return len(self._bounds) - 1
+        return len(self) - 1
 
     def __len__(self) -> int:
-        return len(self._bounds)
+        return len(self._bank.bounds)
 
     def append(self, bound: LowerBound) -> None:
-        self._bounds.append(bound)
-        self._stack_cache = None
+        self._bank = self._bank.appended(bound, self.spec)
 
     def snapshot(self) -> "ValueApprox":
-        """A fixed view of the current bounds (shares the immutable bounds)."""
-        return ValueApprox(self.n, spec=self.spec, bounds=list(self._bounds))
+        """A fixed view of the current bounds (shares the immutable bank)."""
+        return copy.copy(self)
 
-    def replaced(self, bounds: Sequence[LowerBound]) -> "ValueApprox":
-        return ValueApprox(self.n, spec=self.spec, bounds=list(bounds))
+    def _materialized_stack(self):
+        """(H, l, c) stacked over every bound, or None unless all are materialized."""
+        return self._bank.quadratic
+
+    def _bound_values(self, X: np.ndarray) -> np.ndarray:
+        """Every bound's value at each row of X: (P, n) -> (P, B)."""
+        return self._bank.values(np.asarray(X, dtype=float), self.spec)
 
     def evaluate(self, x: np.ndarray) -> tuple:
         """(max_i g_i(x), smallest maximizing index)."""
-        vals = np.array([b.evaluate(x) for b in self._bounds])
+        vals = self._bound_values(np.asarray(x, dtype=float).reshape(1, -1))[0]
         idx = int(np.argmax(vals))
         return float(vals[idx]), idx
 
     def value(self, x: np.ndarray) -> float:
         return self.evaluate(x)[0]
 
-    def _materialized_stack(self):
-        key = len(self._bounds)
-        if self._stack_cache is not None and self._stack_cache[0] == key:
-            return self._stack_cache[1]
-        if all(b.materialized is not None for b in self._bounds):
-            H = np.stack([b.materialized.hessian for b in self._bounds])
-            lin = np.stack([b.materialized.linear for b in self._bounds])
-            con = np.array([b.materialized.constant for b in self._bounds])
-            stack = (H, lin, con)
-        else:
-            stack = None
-        self._stack_cache = (key, stack)
-        return stack
-
     def evaluate_batch(self, X: np.ndarray) -> tuple:
         """Values and active indices for each row of X: ((P,), (P,))."""
-        X = np.asarray(X, dtype=float)
-        stack = self._materialized_stack()
-        if stack is not None:
-            H, lin, con = stack
-            vals = 0.5 * np.einsum("pi,bij,pj->pb", X, H, X) + X @ lin.T + con
-        else:
-            features = BatchFeatures(self.spec, X) if self.spec is not None else None
-            vals = np.stack([b.evaluate_batch(X, features) for b in self._bounds], axis=1)
+        vals = self._bound_values(X)
         idx = np.argmax(vals, axis=1)
-        return vals[np.arange(len(X)), idx], idx
+        return vals[np.arange(len(vals)), idx], idx
 
     def values_batch(self, X: np.ndarray) -> np.ndarray:
         return self.evaluate_batch(X)[0]
-
-
-def eval_value_approx(V: ValueApprox, x: np.ndarray) -> tuple:
-    """Value of the pointwise-max approximation and the active bound index."""
-    return V.evaluate(x)
-
 
 # ---------------------------------------------------------------------------
 # Validation

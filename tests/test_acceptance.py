@@ -70,9 +70,8 @@ def test_criterion_01_lower_bound_validity(criterion1_runs):
         rng = np.random.default_rng(300 + i)
         probes = rng.normal(0.0, 5.0, size=(PROBES_PER_INSTANCE, spec.n))
         vstar = 0.5 * np.einsum("pi,ij,pj->p", probes, ric.P, probes)
-        for bound in result.V_hat.bounds:
-            excess = float((bound.evaluate_batch(probes) - vstar).max())
-            worst = max(worst, excess)
+        # the largest excess of the pointwise max is the largest over bounds
+        worst = max(worst, float((result.V_hat.values_batch(probes) - vstar).max()))
     _report(
         1,
         "lower-bound validity vs Riccati",

@@ -13,7 +13,6 @@ from gddp import (
     bellman_error,
     gddp_iterate,
     pick_next_state,
-    prune_redundant,
     run,
 )
 
@@ -244,47 +243,3 @@ class TestRun:
             assert abs(gain - rec.eps_hat) <= 1e-5 * (1 + rec.eps_hat)
             checked += 1
         assert checked > 0
-
-
-class TestPruneRedundant:
-    def test_constant_offset_dominated(self):
-        V = ValueApprox(1)
-        V.append(LowerBound.from_quadratic(1, QuadraticForm([[1.0]], [0.0], 0.0)))
-        V.append(LowerBound.from_quadratic(2, QuadraticForm([[1.0]], [0.0], -1.0)))
-        probes = np.linspace(-3, 3, 11).reshape(-1, 1)
-        pruned = prune_redundant(V, probes)
-        assert len(pruned) == 2
-        assert pruned.bounds[1].bound_id == 1
-
-    def test_zero_bound_protected(self):
-        V = ValueApprox(1)
-        V.append(LowerBound.from_quadratic(1, QuadraticForm([[1.0]], [0.0], 0.0)))
-        # g0 is dominated by g1 everywhere (g1 >= 0 = g0), but is retained
-        pruned = prune_redundant(V, np.linspace(-2, 2, 9).reshape(-1, 1))
-        assert pruned.bounds[0].bound_id == 0
-        assert len(pruned) == 2
-
-    def test_crossing_bounds_kept(self):
-        V = ValueApprox(1)
-        V.append(LowerBound.from_quadratic(1, QuadraticForm([[1.0]], [0.0], 0.0)))
-        V.append(LowerBound.from_quadratic(2, QuadraticForm([[1.0]], [0.25], -0.25)))
-        pruned = prune_redundant(V, np.linspace(-3, 3, 11).reshape(-1, 1))
-        assert len(pruned) == 3
-
-    def test_pointwise_max_unchanged(self):
-        rng = np.random.default_rng(1)
-        V = ValueApprox(2)
-        for i in range(1, 7):
-            H = np.eye(2)
-            lin = rng.standard_normal(2) if i % 2 else np.zeros(2)
-            V.append(LowerBound.from_quadratic(i, QuadraticForm(H, lin, float(-abs(rng.standard_normal())))))
-        # add exact duplicates and shifted copies
-        V.append(LowerBound.from_quadratic(7, V.bounds[1].materialized))
-        V.append(LowerBound.from_quadratic(8, V.bounds[2].materialized.shifted(-0.5)))
-        probes = rng.normal(0, 3, size=(40, 2))
-        pruned = prune_redundant(V, probes)
-        assert len(pruned) < len(V)
-        check = rng.normal(0, 3, size=(10000, 2))
-        before = V.values_batch(check)
-        after = pruned.values_batch(check)
-        assert np.array_equal(before, after)  # bit-identical

@@ -248,8 +248,7 @@ class TestBuildLowerBound:
             V.append(build_lower_bound(spec, x, primal, dual, V))
         probes = rng.normal(0, 5, size=(1000, 1))
         vstar = 0.5 * np.einsum("pi,ij,pj->p", probes, P, probes)
-        for b in V.bounds:
-            assert np.all(b.evaluate_batch(probes) <= vstar + 1e-6)
+        assert np.all(V.values_batch(probes) <= vstar + 1e-6)
 
 
 class TestBruteForce:

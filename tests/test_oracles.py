@@ -136,9 +136,7 @@ class TestGridValueIteration:
         lip = np.gradient(gvf.values, gvf.axes()[0])
         lip_at = np.interp(xs, gvf.axes()[0], np.abs(lip))
         margin = lip_at * cell + 1e-4 * spec.gamma / (1 - spec.gamma)
-        for b in result.V_hat.bounds:
-            vals = b.evaluate_batch(xs.reshape(-1, 1))
-            assert np.all(vals <= grid_vals + margin + 1e-9)
+        assert np.all(result.V_hat.values_batch(xs.reshape(-1, 1)) <= grid_vals + margin + 1e-9)
 
 
 class TestGridSerialization:

@@ -14,10 +14,9 @@ from gddp import (
     ValueApprox,
     eval_dynamics,
     eval_stage_cost,
-    eval_value_approx,
     validate_spec,
 )
-from gddp.bench import ball_and_beam_spec
+from gddp.bench import ball_and_beam_samples, ball_and_beam_spec
 
 from conftest import make_scalar_lqr
 
@@ -121,21 +120,21 @@ class TestEvalStageCost:
 class TestValueApprox:
     def test_zero_bound_only(self):
         V = ValueApprox(1)
-        assert eval_value_approx(V, [3.7]) == (0.0, 0)
+        assert V.evaluate([3.7]) == (0.0, 0)
 
     def test_worked_bounds(self):
         V = ValueApprox(1)
         V.append(LowerBound.from_quadratic(1, QuadraticForm([[1.0]], [0.0], 0.0)))
-        assert eval_value_approx(V, [2.0]) == (2.0, 1)
+        assert V.evaluate([2.0]) == (2.0, 1)
         V.append(LowerBound.from_quadratic(2, QuadraticForm([[1.0]], [0.25], -0.25)))
-        value, idx = eval_value_approx(V, [2.0])
+        value, idx = V.evaluate([2.0])
         assert value == pytest.approx(2.25)
         assert idx == 2
 
     def test_tie_breaks_to_smallest_index(self):
         V = ValueApprox(1)
         V.append(LowerBound.from_quadratic(1, QuadraticForm.zero(1)))  # identical to g0
-        assert eval_value_approx(V, [1.0])[1] == 0
+        assert V.evaluate([1.0])[1] == 0
 
     def test_monotone_in_appends_and_nonnegative(self):
         spec = make_scalar_lqr()
@@ -151,17 +150,40 @@ class TestValueApprox:
             assert np.all(cur >= 0.0)
             prev = cur
 
-    def test_batch_matches_pointwise(self):
-        spec = make_scalar_lqr()
-        V = ValueApprox.initial(spec)
-        p, d = gddp.solve_onestage_convex(spec, V, [2.0])
-        V.append(gddp.build_lower_bound(spec, [2.0], p, d, V))
-        X = np.linspace(-3, 3, 17).reshape(-1, 1)
+    @pytest.mark.parametrize("problem", ["scalar-lqr", "ball-and-beam"])
+    def test_batch_matches_pointwise(self, problem):
+        # the stacked kernel against the scalar reference max over
+        # LowerBound.evaluate, for quadratic and coefficient-form banks
+        rng = np.random.default_rng(4)
+        if problem == "scalar-lqr":
+            spec = make_scalar_lqr()
+            V = ValueApprox.initial(spec)
+            for x_hat in ([2.0], [-3.0], [0.5]):
+                p, d = gddp.solve_onestage_convex(spec, V, x_hat)
+                V.append(gddp.build_lower_bound(spec, x_hat, p, d, V))
+            X = np.linspace(-3, 3, 17).reshape(-1, 1)
+        else:
+            spec = ball_and_beam_spec()
+            V = ValueApprox.initial(spec)
+            cfg = gddp.SolverConfig(bruteforce_grid=101)
+            for x_hat in ball_and_beam_samples(4, rng):
+                p, d = gddp.solve_onestage_bruteforce(spec, V, x_hat, cfg)
+                V.append(gddp.build_lower_bound(spec, x_hat, p, d, V))
+            X = rng.normal(0.0, 0.5, size=(40, 4))
+            assert V._materialized_stack() is None
+        V.append(V.bounds[2])  # an exact duplicate must tie toward the smaller index
+
+        def reference(x):
+            vals = [b.evaluate(x) for b in V.bounds]
+            return max(vals), int(np.argmax(vals))
+
         vals, idx = V.evaluate_batch(X)
         for i, x in enumerate(X):
+            ref_v, ref_j = reference(x)
             v, j = V.evaluate(x)
-            assert vals[i] == pytest.approx(v, rel=1e-12)
-            assert idx[i] == j
+            assert vals[i] == pytest.approx(ref_v, rel=1e-12)
+            assert v == pytest.approx(ref_v, rel=1e-12)
+            assert idx[i] == j == ref_j
 
 
 class TestSnapshotDuringAppend:
