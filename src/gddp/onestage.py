@@ -16,14 +16,19 @@ valid over the whole state space.  The multiplier of the eliminated
 dynamics constraint is recovered as nu = sum_i lambda_alpha_i grad
 g_i(x_plus).
 
-Two solution paths are provided: a primal-dual interior-point method for
-the convex-quadratic problem class, and a gridded brute-force search with
-Newton polish and KKT-based dual recovery for the nonlinear class.
+Two solution paths are provided.  The convex-quadratic class is solved
+exactly on a guessed active set (one bound, or two tied bounds, and one
+term per owner over an input box), with closed-form multipliers that an
+exact KKT check accepts; anything the check rejects goes to a primal-dual
+interior-point method.  The nonlinear class uses a gridded brute-force
+search with Newton polish and KKT-based dual recovery.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -101,7 +106,6 @@ class DualSolution:
     lambda_alpha: np.ndarray
     J_D: float
     kkt_residual: float
-    degenerate: bool = False
 
 
 def _infeasible_pair(spec: ProblemSpec, n_bounds: int):
@@ -342,22 +346,20 @@ def _ipm_solve(prob: _EpigraphProblem, cfg: SolverConfig, u0):
     return z, lam, converged
 
 
-def solve_onestage_convex(
-    spec: ProblemSpec, V: ValueApprox, x_hat: np.ndarray, cfg: Optional[SolverConfig] = None
+def _solve_convex_ipm(
+    spec: ProblemSpec, V: ValueApprox, x_hat: np.ndarray, cfg: Optional[SolverConfig] = None, u0=None
 ):
-    """Solve the epigraph one-stage problem and return primal and dual solutions.
+    """The interior-point solve of the epigraph problem, started from the input ``u0``.
 
-    Requires every bound of ``V`` to be materialized as a convex quadratic.
-    On success the returned objective equals the Bellman operator applied
-    to ``V`` at ``x_hat``, with KKT residuals within ``cfg.kkt_tol`` and
-    relative duality gap within ``cfg.duality_gap_tol``.  An empty input
-    set U(x_hat) yields ``SolveStatus.INFEASIBLE``.
+    ``u0`` defaults to :func:`input_feasible_point`.  Returns the primal
+    and dual solutions as :func:`solve_onestage_convex` does.
     """
     cfg = cfg or SolverConfig()
     x_hat = np.asarray(x_hat, dtype=float)
-    u0 = input_feasible_point(spec, x_hat)
     if u0 is None:
-        return _infeasible_pair(spec, len(V))
+        u0 = input_feasible_point(spec, x_hat)
+        if u0 is None:
+            return _infeasible_pair(spec, len(V))
 
     prob = _EpigraphProblem(spec, V, x_hat)
     z, lam, converged = _ipm_solve(prob, cfg, u0)
@@ -412,6 +414,305 @@ def solve_onestage_convex(
         nu=nu, lambda_c=lam_c, lambda_beta=lam_beta, lambda_alpha=lam_alpha, J_D=J_D, kkt_residual=kkt_residual
     )
     return primal, dual
+
+
+# ---------------------------------------------------------------------------
+# Convex path, exact: one active bound (or two tied ones) and one term per owner
+
+_MAX_REPICKS = 3  # new guesses of the active bound and terms after the first
+_KINK_NEWTON_STEPS = 10
+_TIE_TOL = 1e-12  # relative slack of the active-set checks
+
+# each coordinate free (0), on its lower (-1) or on its upper (+1) face, with
+# the indices of the face and free coordinates: every choice with at least
+# one face, fewest faces first (_box_qp tries the all-free one before these)
+_FACE_SETS = {
+    m: [
+        (f, np.flatnonzero(f), np.flatnonzero(f == 0))
+        for f in sorted((np.array(c) for c in itertools.product((0, -1, 1), repeat=m)), key=lambda f: np.abs(f).sum())
+    ][1:]
+    for m in (1, 2, 3)
+}
+
+
+def _positive_definite(Q: np.ndarray) -> bool:
+    w = Q[0] if len(Q) == 1 else np.linalg.eigvalsh(Q)
+    return bool(w[0] > 1e-12 * max(1.0, w[-1]))
+
+
+def _box_qp(Q, c, lo, hi):
+    """Minimizer of 1/2 u'Q u + c'u over lo <= u <= hi, Q positive definite, m <= 3.
+
+    Tries every choice of the coordinates that sit on a face, none first
+    and then fewest faces first, and returns the first whose free part
+    lies in the box and whose face multipliers have the right sign up to
+    rounding, with the faces (-1 lower, 0 free, +1 upper).  Returns None
+    when no choice passes.
+    """
+    u = np.linalg.solve(Q, -c)
+    if (u >= lo).all() and (u <= hi).all():
+        return u, np.zeros(len(c), dtype=int)
+    for faces, on, free in _FACE_SETS[len(c)]:
+        u = np.where(faces < 0, lo, hi)
+        if not np.isfinite(u[on]).all():
+            continue
+        if len(free):
+            u[free] = np.linalg.solve(Q[free][:, free], -(c[free] + Q[free][:, on] @ u[on]))
+            if (u[free] < lo[free]).any() or (u[free] > hi[free]).any():
+                continue
+        Qu = Q @ u
+        # a lower face needs a gradient >= 0, an upper face one <= 0
+        if (faces * (Qu + c) > _TIE_TOL * (1.0 + np.abs(c).max() + np.abs(Qu).max())).any():
+            continue
+        return u, faces
+    return None
+
+
+def _real_roots(a: float, b: float, c: float) -> tuple:
+    """Real roots of a t^2 + b t + c, in the cancellation-free form."""
+    if a == 0.0:
+        return () if b == 0.0 else (-c / b,)
+    disc = b * b - 4.0 * a * c
+    if disc < 0.0:
+        return ()
+    q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+    return (q / a, c / q) if q != 0.0 else (0.0,)
+
+
+def _split_gamma(gamma: float, lam: float) -> tuple:
+    """(lam, gamma - lam) rounded so that the two sum to gamma exactly."""
+    small = min(lam, gamma - lam)
+    big = gamma - small
+    small = gamma - big  # exact: big lies in [gamma/2, gamma] (Sterbenz)
+    return (small, big) if lam <= gamma - lam else (big, small)
+
+
+class _ActiveSetSolve:
+    """The one-stage problem at x_hat on a guessed active set, solved exactly.
+
+    With bound i and one term a_k per owner active, the problem is the
+    box-constrained quadratic
+
+        minimize  sum_k [r_ak'u + 1/2 u'R_ak u] + gamma * g_i(drift + W u)
+
+    whose KKT point has closed-form multipliers: lambda_alpha = gamma e_i,
+    lambda_beta one-hot per owner, lambda_c from stationarity on the box
+    faces.  A guess is accepted only when every other bound and term lies
+    at or below the active ones at the solution (up to ``_TIE_TOL``), so
+    the multipliers are dual feasible exactly and the Lagrangian, convex
+    in u with the curvature of the reduced problem, is minimized at u.
+    """
+
+    def __init__(self, spec: ProblemSpec, V: ValueApprox, x_hat: np.ndarray, stack, box):
+        self.spec, self.V = spec, V
+        self.Hb, self.lb, self.cb = stack
+        self.lo, self.hi = box
+        self.drift = spec.dynamics.drift(x_hat)
+        self.W = spec.dynamics.input_matrix(x_hat)
+        self.h = spec.constraints.rhs(x_hat)
+        self.phi = spec.cost.phi_vector(x_hat)
+        self.r_mat = spec.cost.r_matrix()
+        self.R_stk = spec.cost.R_stack()
+
+    def solve(self, u0):
+        """(primal, dual) from at most 1 + ``_MAX_REPICKS`` guesses, or None.
+
+        A guess is one bound and one term per owner, the largest at the
+        last successor.  When another bound rises above a single-bound
+        guess with the same terms, the kink between the two is tried
+        next; if it has no admissible point, the other bound is the next
+        guess, and if a third bound rises above the kink, that one is.
+        """
+        cost, gamma = self.spec.cost, self.spec.gamma
+        _, terms, bvals = self._at(u0)
+        i, act = int(bvals.argmax()), cost.owner_argmax(terms)
+        tried = set()
+        for _ in range(_MAX_REPICKS + 1):
+            if (i, tuple(act)) in tried:
+                return None
+            tried.add((i, tuple(act)))
+            P, b, _ = self._piece(i)
+            Q = self.R_stk[act].sum(axis=0) + gamma * P
+            if not _positive_definite(Q):
+                return None
+            sol = _box_qp(Q, self.r_mat[act].sum(axis=0) + gamma * b, self.lo, self.hi)
+            if sol is None:
+                return None
+            u, faces = sol
+            x_plus, terms, bvals = self._at(u)
+            if self._active(terms, bvals, act, [i]):
+                return self._pair(u, x_plus, terms, bvals, act, [i], [gamma], faces)
+            nxt, act_next = int(bvals.argmax()), cost.owner_argmax(terms)
+            if nxt != i and np.array_equal(act_next, act):
+                kink = self._kink(i, nxt, act, u)
+                if kink is not None:
+                    u, weights = kink
+                    x_plus, terms, bvals = self._at(u)
+                    if self._active(terms, bvals, act, [i, nxt]):
+                        return self._pair(u, x_plus, terms, bvals, act, [i, nxt], weights, np.zeros(len(u), dtype=int))
+                    nxt, act_next = int(bvals.argmax()), cost.owner_argmax(terms)
+            i, act = nxt, act_next
+        return None
+
+    def _at(self, u):
+        """Successor, term values and every bound's value at the successor."""
+        x_plus = self.drift + self.W @ u
+        terms = self.phi + self.r_mat @ u + 0.5 * np.einsum("jab,a,b->j", self.R_stk, u, u)
+        return x_plus, terms, self.V._bound_values(x_plus[None])[0]
+
+    def _piece(self, i):
+        """Bound i as a function of the input: 1/2 u'P u + b'u + e."""
+        H, l, W = self.Hb[i], self.lb[i], self.W
+        grad0 = H @ self.drift + l
+        return W.T @ H @ W, W.T @ grad0, 0.5 * (grad0 + l) @ self.drift + self.cb[i]
+
+    def _active(self, terms, bvals, act, idx) -> bool:
+        """No bound above the active ones and no term above its owner's active term."""
+        top = bvals[idx].min()
+        if bvals.max() > top + _TIE_TOL * (1.0 + abs(top)):
+            return False
+        t_act = terms[act]
+        return bool((self.spec.cost.owner_max(terms) <= t_act + _TIE_TOL * (1.0 + np.abs(t_act))).all())
+
+    def _kink(self, i, j, act, u_start):
+        """Input and (lambda_i, lambda_j) of the kink between bounds i and j, or None.
+
+        Solves stationarity with lambda_alpha = (lam, gamma - lam) on (i, j)
+        and g_i = g_j at the successor: a quadratic root in u for m = 1, a
+        Newton solve on (u, lam) from the input u_start otherwise.
+        Requires 0 <= lam <= gamma, the input strictly inside the box and
+        positive definite curvature; the caller checks the other bounds
+        and terms.
+        """
+        gamma = self.spec.gamma
+        Rs, rs = self.R_stk[act].sum(axis=0), self.r_mat[act].sum(axis=0)
+        Pi, bi, ei = self._piece(i)
+        Pj, bj, ej = self._piece(j)
+        dP, db, de = Pi - Pj, bi - bj, ei - ej
+        if len(rs) == 1:
+            candidates = []
+            for t in _real_roots(0.5 * dP[0, 0], db[0], de):
+                slope = dP[0, 0] * t + db[0]
+                if slope != 0.0:
+                    lam = -((Rs[0, 0] + gamma * Pj[0, 0]) * t + rs[0] + gamma * bj[0]) / slope
+                    candidates.append((np.array([t]), lam))
+        else:
+            u, lam = u_start, 0.5 * gamma
+            for _ in range(_KINK_NEWTON_STEPS):
+                Hl = Rs + lam * Pi + (gamma - lam) * Pj
+                slope = dP @ u + db
+                kkt = np.block([[Hl, slope[:, None]], [slope[None, :], np.zeros((1, 1))]])
+                F = np.append(Hl @ u + rs + lam * bi + (gamma - lam) * bj, 0.5 * u @ dP @ u + db @ u + de)
+                try:
+                    step = np.linalg.solve(kkt, -F)
+                except np.linalg.LinAlgError:
+                    return None
+                u, lam = u + step[:-1], lam + step[-1]
+                if np.abs(step).max() <= 1e-15 * (1.0 + np.abs(u).max() + abs(lam)):
+                    break
+            candidates = [(u, lam)]
+
+        best = None
+        for u, lam in candidates:
+            if not 0.0 <= lam <= gamma or (u <= self.lo).any() or (u >= self.hi).any():
+                continue
+            if not _positive_definite(Rs + lam * Pi + (gamma - lam) * Pj):
+                continue
+            obj = 0.5 * u @ Rs @ u + rs @ u + gamma * (0.5 * u @ Pi @ u + bi @ u)
+            if best is None or obj < best[0]:
+                best = (obj, u, _split_gamma(gamma, lam))
+        return None if best is None else best[1:]
+
+    def _pair(self, u, x_plus, terms, bvals, act, idx, weights, faces):
+        """Primal and dual solutions of an accepted guess; None if u leaves U(x_hat)."""
+        spec, gamma = self.spec, self.spec.gamma
+        cost, cons = spec.cost, spec.constraints
+        F_box = cons.E @ u - self.h
+        if (F_box > _TIE_TOL * (1.0 + np.abs(self.h))).any():
+            return None
+        beta = cost.owner_max(terms)
+        alpha = float(bvals.max())
+        J_P = float(beta.sum() + gamma * alpha)
+
+        lam_beta = np.zeros(cost.J)
+        lam_beta[act] = 1.0
+        lam_alpha = np.zeros(len(bvals))
+        lam_alpha[idx] = weights
+        nu = np.asarray(weights) @ (self.Hb[idx] @ x_plus + self.lb[idx])
+        grad = self.r_mat[act].sum(axis=0) + self.R_stk[act].sum(axis=0) @ u + self.W.T @ nu
+        lam_c = np.zeros(cons.n_c)
+        if faces.any():
+            # the binding row of each face coordinate is the one row_box took its bound from
+            cols, coef = cons._box_rows
+            row_bound = self.h / coef
+            for k in np.flatnonzero(faces):
+                face = self.hi[k] if faces[k] > 0 else self.lo[k]
+                row = np.flatnonzero((cols == k) & (faces[k] * coef > 0) & (row_bound == face))[0]
+                lam_c[row] = max(-grad[k] / coef[row], 0.0)
+
+        # dual objective and KKT residual as the Lagrangian at (u, lambda),
+        # with the rows and residuals of the interior-point path
+        F_cost = terms - beta[cost.owners]
+        F_bnd = bvals - alpha
+        J_D = float(beta.sum() + gamma * alpha + lam_c @ F_box + lam_beta @ F_cost + lam_alpha @ F_bnd)
+        r_d = np.concatenate(
+            [
+                grad + cons.E.T @ lam_c,
+                1.0 - np.bincount(cost.owners, weights=lam_beta, minlength=cost.K),
+                [gamma - lam_alpha.sum()],
+            ]
+        )
+        complementarity = np.concatenate([lam_c * F_box, lam_beta * F_cost, lam_alpha * F_bnd])
+        kkt_residual = max(
+            float(np.abs(r_d).max()), float(F_box.max(initial=0.0)), float(np.abs(complementarity).max())
+        )
+        primal = OneStageSolution(
+            u_star=u, x_plus_star=x_plus, beta_star=beta, alpha_star=alpha, J_P=J_P, status=SolveStatus.OPTIMAL
+        )
+        dual = DualSolution(
+            nu=nu, lambda_c=lam_c, lambda_beta=lam_beta, lambda_alpha=lam_alpha, J_D=J_D, kkt_residual=kkt_residual
+        )
+        return primal, dual
+
+
+def _solve_active_set(spec: ProblemSpec, V: ValueApprox, x_hat: np.ndarray, u0):
+    """The exact solve from the feasible input u0, or None when it does not apply or verify.
+
+    It applies to inputs of dimension at most 3 whose constraint rows are
+    all box rows, with every bound materialized as a quadratic.
+    """
+    stack = V._materialized_stack()
+    if stack is None or spec.m > 3:
+        return None
+    box = spec.constraints.row_box(x_hat)
+    if box is None:
+        return None
+    return _ActiveSetSolve(spec, V, x_hat, stack, box).solve(u0)
+
+
+def solve_onestage_convex(
+    spec: ProblemSpec, V: ValueApprox, x_hat: np.ndarray, cfg: Optional[SolverConfig] = None
+):
+    """Solve the epigraph one-stage problem and return primal and dual solutions.
+
+    Requires every bound of ``V`` to be materialized as a convex quadratic.
+    An empty input set U(x_hat) yields ``SolveStatus.INFEASIBLE``.  The
+    solve first tries an exact active set (one bound, or two tied bounds,
+    and one term per owner, over an input box of dimension at most 3) and
+    returns it when an exact KKT check passes: its multipliers are dual
+    feasible exactly and its duality gap is rounding.  Otherwise it runs
+    the interior-point method, whose result has KKT residuals within
+    ``cfg.kkt_tol`` and relative duality gap within ``cfg.duality_gap_tol``.
+    """
+    cfg = cfg or SolverConfig()
+    x_hat = np.asarray(x_hat, dtype=float)
+    u0 = input_feasible_point(spec, x_hat)
+    if u0 is None:
+        return _infeasible_pair(spec, len(V))
+    exact = _solve_active_set(spec, V, x_hat, u0)
+    if exact is not None:
+        return exact
+    return _solve_convex_ipm(spec, V, x_hat, cfg, u0)
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +844,6 @@ def _refine_newton(spec, V, x_hat, u, box, steps):
     lo, hi = box
     drift = spec.dynamics.drift(x_hat)
     W = spec.dynamics.input_matrix(x_hat)
-    owners = spec.cost.owners
     r_mat = spec.cost.r_matrix()
     R_stk = spec.cost.R_stack()
     phis = spec.cost.phi_vector(x_hat)
@@ -563,7 +863,7 @@ def _refine_newton(spec, V, x_hat, u, box, steps):
     f_cur = total(u)
     for _ in range(steps):
         term_vals = phis + r_mat @ u + 0.5 * np.einsum("jab,a,b->j", R_stk, u, u)
-        act_terms = [int(np.argmax(np.where(owners == k, term_vals, -np.inf))) for k in range(spec.cost.K)]
+        act_terms = spec.cost.owner_argmax(term_vals)
         active = V.bounds[V.evaluate(drift + W @ u)[1]]
         grad = piece_grad(u, act_terms, active)
         # finite-difference Hessian of the frozen-piece gradient
@@ -677,15 +977,13 @@ def recover_duals_kkt(spec: ProblemSpec, V: ValueApprox, x_hat: np.ndarray, prim
     resid_vec = M @ u + spec.cost.r_matrix().T @ lambda_beta + Fu.T @ nu
 
     lambda_c = np.zeros(spec.constraints.n_c)
-    degenerate = False
     if spec.constraints.n_c:
         h = spec.constraints.rhs(x_hat)
         slack = h - spec.constraints.E @ u
         act_rows = np.nonzero(slack <= 1e-6 * (1.0 + np.abs(h)))[0]
         if len(act_rows):
             E_act = spec.constraints.E[act_rows]
-            sol, _, rank, _ = np.linalg.lstsq(E_act.T, -resid_vec, rcond=None)
-            degenerate = rank < min(E_act.shape)
+            sol = np.linalg.lstsq(E_act.T, -resid_vec, rcond=None)[0]
             lambda_c[act_rows] = np.clip(sol, 0.0, None)
 
     stat = resid_vec + spec.constraints.E.T @ lambda_c
@@ -709,5 +1007,4 @@ def recover_duals_kkt(spec: ProblemSpec, V: ValueApprox, x_hat: np.ndarray, prim
         lambda_alpha=lambda_alpha,
         J_D=J_D,
         kkt_residual=kkt_residual,
-        degenerate=degenerate,
     )

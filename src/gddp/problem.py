@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import copy
 import enum
+import functools
 import json
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -54,6 +55,11 @@ def _as_matrix(a, rows, cols, name):
         raise ValidationError(f"{name}: expected shape {(rows, cols)}, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValidationError(f"{name}: contains non-finite entries")
+    return arr
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
     return arr
 
 
@@ -284,9 +290,23 @@ class StageCost:
     def J(self) -> int:
         return len(self.terms)
 
-    @property
+    @functools.cached_property
     def owners(self) -> np.ndarray:
-        return np.array([t.owner for t in self.terms], dtype=int)
+        """Owner index of each term, shape (J,); computed once, read-only."""
+        return _read_only(np.array([t.owner for t in self.terms], dtype=int))
+
+    @functools.cached_property
+    def _owner_mask(self) -> np.ndarray:
+        """(K, J) mask of the terms each owner holds; every owner has one."""
+        return _read_only(self.owners == np.arange(self.K)[:, None])
+
+    @functools.cached_property
+    def _r_rows(self) -> np.ndarray:
+        return _read_only(np.stack([t.r for t in self.terms]))
+
+    @functools.cached_property
+    def _R_blocks(self) -> np.ndarray:
+        return _read_only(np.stack([t.R for t in self.terms]))
 
     def selector_matrix(self) -> np.ndarray:
         """L with rows e_j', shape (J, K); L' lambda_beta = 1 is the dual constraint."""
@@ -295,12 +315,12 @@ class StageCost:
         return L
 
     def r_matrix(self) -> np.ndarray:
-        """Stacked r_j rows, shape (J, m)."""
-        return np.stack([t.r for t in self.terms])
+        """Stacked r_j rows, shape (J, m); the same read-only array on every call."""
+        return self._r_rows
 
     def R_stack(self) -> np.ndarray:
-        """Stacked R_j blocks, shape (J, m, m)."""
-        return np.stack([t.R for t in self.terms])
+        """Stacked R_j blocks, shape (J, m, m); the same read-only array on every call."""
+        return self._R_blocks
 
     def phi_vector(self, x: np.ndarray) -> np.ndarray:
         """phi_j(x) for all j, shape (J,)."""
@@ -316,8 +336,11 @@ class StageCost:
 
     def owner_max(self, term_values: np.ndarray) -> np.ndarray:
         """Maximum over each owner's terms: (..., J) term values -> (..., K)."""
-        mine = self.owners == np.arange(self.K)[:, None]  # (K, J); every owner has a term
-        return np.where(mine, np.asarray(term_values)[..., None, :], -np.inf).max(axis=-1)
+        return np.where(self._owner_mask, np.asarray(term_values)[..., None, :], -np.inf).max(axis=-1)
+
+    def owner_argmax(self, term_values: np.ndarray) -> np.ndarray:
+        """Index in 0..J-1 of each owner's largest term, smallest on ties: (J,) -> (K,)."""
+        return np.where(self._owner_mask, np.asarray(term_values), -np.inf).argmax(axis=-1)
 
     def evaluate(self, x: np.ndarray, u: np.ndarray) -> float:
         # left-to-right sum, equal to a term-by-term accumulation
@@ -385,26 +408,32 @@ class InputConstraintSet:
             return True
         return bool(np.all(self.E @ np.asarray(u, dtype=float) <= self.rhs(x) + tol))
 
+    @functools.cached_property
+    def _box_rows(self):
+        """(column, coefficient) of each row of E, or None unless every row has one nonzero."""
+        nonzero = self.E != 0
+        if not (nonzero.sum(axis=1) == 1).all():
+            return None
+        cols = nonzero.argmax(axis=1)
+        return _read_only(cols), _read_only(self.E[np.arange(self.n_c), cols])
+
     def row_box(self, x: np.ndarray):
         """Elementwise input bounds (lo, hi) at x, possibly infinite.
 
         Every row of E must be a (scaled) +-unit vector; the rows are
         intersected at the given state.  Returns None when some row is not.
         """
+        rows = self._box_rows
+        if rows is None:
+            return None
+        cols, coef = rows
         m = self.E.shape[1]
         lo = np.full(m, -np.inf)
         hi = np.full(m, np.inf)
-        h = self.rhs(x)
-        for i in range(self.n_c):
-            row = self.E[i]
-            nz = np.nonzero(row)[0]
-            if len(nz) != 1:
-                return None
-            j = nz[0]
-            if row[j] > 0:
-                hi[j] = min(hi[j], h[i] / row[j])
-            else:
-                lo[j] = max(lo[j], h[i] / row[j])
+        bound = self.rhs(x) / coef
+        upper = coef > 0
+        np.minimum.at(hi, cols[upper], bound[upper])
+        np.maximum.at(lo, cols[~upper], bound[~upper])
         return lo, hi
 
     def derived_box(self, x: np.ndarray):
@@ -668,6 +697,19 @@ class _BoundBank:
             return _BoundBank(bounds, _extend(self.quadratic, _quadratic_row(bound)), None)
         return _BoundBank.stacked(bounds, spec)
 
+    def holds(self, bound: LowerBound, spec: Optional[ProblemSpec]) -> bool:
+        """Whether some row equals the row of ``bound`` bit for bit."""
+        if self.quadratic is not None:
+            if bound.materialized is None:
+                return False
+            arrays, row = self.quadratic, _quadratic_row(bound)
+        else:
+            arrays, row = self.coefficient, _coefficient_row(bound, spec)
+        same = np.ones(len(self.bounds), dtype=bool)
+        for a, r in zip(arrays, row):
+            same &= (a == np.asarray(r)).reshape(len(a), -1).all(axis=1)
+        return bool(same.any())
+
     def values(self, X: np.ndarray, spec: Optional[ProblemSpec]) -> np.ndarray:
         """Every bound's value at each row of X: (P, n) -> (P, B).
 
@@ -740,6 +782,14 @@ class ValueApprox:
 
     def append(self, bound: LowerBound) -> None:
         self._bank = self._bank.appended(bound, self.spec)
+
+    def holds(self, bound: LowerBound) -> bool:
+        """Whether the bank already has this bound's row, bit for bit.
+
+        Appending such a bound leaves the approximation the same function
+        with the same maximizing indices (ties go to the earlier row).
+        """
+        return self._bank.holds(bound, self.spec)
 
     def snapshot(self) -> "ValueApprox":
         """A fixed view of the current bounds (shares the immutable bank)."""

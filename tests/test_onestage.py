@@ -1,9 +1,12 @@
 import dataclasses
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import gddp
+from gddp import onestage
 from gddp import (
     DualSolution,
     LowerBound,
@@ -336,3 +339,208 @@ class TestRecoverDuals:
         )
         dual = recover_duals_kkt(scalar_lqr, V, [0.0], primal)
         assert dual.lambda_alpha == pytest.approx([0.5, 0.5])
+
+
+# ---------------------------------------------------------------------------
+# The exact active-set path against the interior-point method
+
+
+def random_convex_spec(rng, n, m, K, J, gamma):
+    """A convex-quadratic problem with J >= K cost terms and a state-dependent input box."""
+    terms = []
+    for j in range(J):
+        L = rng.normal(size=(n, n))
+        S = rng.normal(size=(m, m))
+        terms.append(
+            gddp.CostTerm(
+                j % K,
+                QuadraticForm(L @ L.T / n + 0.1 * np.eye(n), 0.5 * rng.normal(size=n), abs(rng.normal())),
+                0.5 * rng.normal(size=m),
+                S @ S.T / m + 0.5 * np.eye(m),
+            )
+        )
+    A = rng.normal(size=(n, n))
+    A *= 0.9 / np.abs(np.linalg.eigvals(A)).max()
+    radius = rng.uniform(0.3, 1.5, size=m)
+    E = np.vstack([np.eye(m), -np.eye(m)])
+    return gddp.ProblemSpec(
+        n=n,
+        m=m,
+        gamma=gamma,
+        dynamics=gddp.DynamicsModel.linear(A, rng.normal(size=(n, m))),
+        cost=gddp.StageCost(K, tuple(terms)),
+        constraints=gddp.InputConstraintSet(E=E, h0=np.concatenate([radius, radius]), H=0.05 * rng.normal(size=(2 * m, n))),
+        class_tag=ProblemClass.CONVEX_QUADRATIC,
+    )
+
+
+# the interior-point tolerances scale with 1 + |J_P|; tighter ones pin the
+# reference input down to well below the 1e-6 the comparisons allow
+TIGHT = SolverConfig(kkt_tol=1e-11, duality_gap_tol=1e-11)
+
+
+def exact_solve(spec, V, x):
+    x = np.asarray(x, dtype=float)
+    return onestage._solve_active_set(spec, V, x, onestage.input_feasible_point(spec, x))
+
+
+def linear_bounds(slopes, offset=1.0):
+    """Quadratic-form bounds a'y + offset with zero curvature, after the zero bound."""
+    n = len(slopes[0])
+    return [LowerBound.zero(n)] + [
+        LowerBound.from_quadratic(k + 1, QuadraticForm(np.zeros((n, n)), a, offset)) for k, a in enumerate(slopes)
+    ]
+
+
+def identity_spec(m, lo, hi, gamma=1.0):
+    """x+ = u with cost 1/2|x|^2 + 1/2|u|^2 and the box lo <= u <= hi."""
+    return gddp.ProblemSpec(
+        n=m,
+        m=m,
+        gamma=gamma,
+        dynamics=gddp.DynamicsModel.linear(np.zeros((m, m)), np.eye(m)),
+        cost=gddp.StageCost(1, (gddp.CostTerm(0, QuadraticForm(np.eye(m), np.zeros(m), 0.0), np.zeros(m), np.eye(m)),)),
+        constraints=gddp.InputConstraintSet.box(lo, hi, m),
+        class_tag=ProblemClass.CONVEX_QUADRATIC,
+    )
+
+
+def assert_same_solution(a, b):
+    (pa, da), (pb, db) = a, b
+    assert pa.status is pb.status is SolveStatus.OPTIMAL
+    assert pa.J_P == pb.J_P
+    np.testing.assert_array_equal(pa.u_star, pb.u_star)
+    np.testing.assert_array_equal(da.lambda_alpha, db.lambda_alpha)
+
+
+class TestExactActiveSet:
+    @pytest.mark.parametrize(
+        "n, m, K, J, gamma",
+        [(2, 1, 1, 1, 1.0), (3, 1, 1, 3, 0.9), (2, 2, 2, 3, 0.95), (3, 2, 1, 2, 1.0), (3, 3, 2, 4, 0.8)],
+    )
+    def test_matches_interior_point(self, n, m, K, J, gamma):
+        rng = np.random.default_rng(100 * n + 10 * m + J)
+        spec = random_convex_spec(rng, n, m, K, J, gamma)
+        V = ValueApprox.initial(spec)
+        exact = faces = 0
+        for x in rng.normal(0.0, 3.0, size=(12, n)):
+            primal, dual = solve_onestage_convex(spec, V, x)
+            ref, _ = onestage._solve_convex_ipm(spec, V, x, TIGHT)
+            assert ref.status is SolveStatus.OPTIMAL
+            assert abs(primal.J_P - ref.J_P) <= 1e-8 * (1.0 + abs(ref.J_P))
+            # every term curvature is positive definite, so the optimal input is unique
+            assert primal.u_star == pytest.approx(ref.u_star, abs=1e-6)
+            if exact_solve(spec, V, x) is not None:
+                exact += 1
+                assert abs(dual.J_D - primal.J_P) <= 1e-12 * (1.0 + abs(primal.J_P))
+                faces += bool(np.any(dual.lambda_c > 0))
+            V.append(build_lower_bound(spec, x, primal, dual, V))
+        assert exact >= 6  # the rest end on tied terms or three bounds and use the interior-point method
+        assert faces >= 1  # some solves end on a face of the box
+
+    def test_multiplier_sums_are_exact(self):
+        rng = np.random.default_rng(7)
+        for n, m, K, J, gamma in [(2, 1, 1, 2, 0.9), (3, 2, 2, 4, 0.97), (2, 3, 1, 1, 1.0)]:
+            spec = random_convex_spec(rng, n, m, K, J, gamma)
+            V = ValueApprox.initial(spec)
+            for x in rng.normal(0.0, 3.0, size=(10, n)):
+                result = exact_solve(spec, V, x)
+                if result is None:
+                    continue
+                primal, dual = result
+                assert dual.lambda_alpha.sum() == spec.gamma
+                assert np.all(np.bincount(spec.cost.owners, weights=dual.lambda_beta) == 1.0)
+                assert np.all(dual.lambda_alpha >= 0) and np.all(dual.lambda_beta >= 0) and np.all(dual.lambda_c >= 0)
+                V.append(build_lower_bound(spec, x, primal, dual, V))
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_kink_matches_interior_point(self, m):
+        # cost 1/2|u|^2 plus the larger of two planes that cross at u_1 = 0:
+        # the optimum sits on the crease with the bound weight split in half
+        slopes = [np.r_[3.0, np.ones(m - 1)], np.r_[-3.0, np.ones(m - 1)]]
+        spec = identity_spec(m, -10 * np.ones(m), 10 * np.ones(m), gamma=0.9)
+        V = ValueApprox(m, spec=spec, bounds=linear_bounds(slopes))
+        x = np.zeros(m)
+        primal, dual = exact_solve(spec, V, x)
+        ref, _ = onestage._solve_convex_ipm(spec, V, x, TIGHT)
+        assert np.count_nonzero(dual.lambda_alpha) == 2
+        assert dual.lambda_alpha[1:] == pytest.approx([0.45, 0.45], abs=1e-12)
+        assert dual.lambda_alpha.sum() == spec.gamma
+        assert abs(primal.J_P - ref.J_P) <= 1e-8 * (1.0 + abs(ref.J_P))
+        assert primal.u_star == pytest.approx(ref.u_star, abs=1e-6)
+        assert_same_solution(solve_onestage_convex(spec, V, x), (primal, dual))
+
+    def test_input_dimension_above_three_falls_back(self):
+        spec = identity_spec(4, -np.ones(4), np.ones(4))
+        V = ValueApprox(4, spec=spec, bounds=linear_bounds([np.array([1.0, -2.0, 0.5, 3.0])]))
+        x = np.full(4, 0.3)
+        assert exact_solve(spec, V, x) is None
+        assert_same_solution(solve_onestage_convex(spec, V, x), onestage._solve_convex_ipm(spec, V, x))
+
+    def test_non_box_row_falls_back(self):
+        spec = dataclasses.replace(
+            identity_spec(2, -np.ones(2), np.ones(2)),
+            constraints=gddp.InputConstraintSet(E=[[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], h0=[1.0, 1.0, 1.0], H=np.zeros((3, 2))),
+        )
+        V = ValueApprox(2, spec=spec, bounds=linear_bounds([np.array([-2.0, -1.0])], offset=10.0))
+        x = np.array([0.5, -0.2])
+        assert exact_solve(spec, V, x) is None
+        primal, dual = solve_onestage_convex(spec, V, x)
+        assert dual.lambda_c[0] > 0.1  # the diagonal row binds
+        assert_same_solution((primal, dual), onestage._solve_convex_ipm(spec, V, x))
+
+    def test_three_tied_bounds_fall_back(self):
+        # three planes at 120 degrees meet at u = 0, where each carries gamma / 3
+        angles = 2 * np.pi * np.arange(3) / 3
+        slopes = [2.0 * np.array([np.cos(a), np.sin(a)]) for a in angles]
+        spec = identity_spec(2, -5 * np.ones(2), 5 * np.ones(2))
+        V = ValueApprox(2, spec=spec, bounds=linear_bounds(slopes))
+        x = np.zeros(2)
+        assert exact_solve(spec, V, x) is None
+        primal, dual = solve_onestage_convex(spec, V, x)
+        assert dual.lambda_alpha[1:] == pytest.approx([1 / 3] * 3, abs=1e-6)
+        assert_same_solution((primal, dual), onestage._solve_convex_ipm(spec, V, x))
+
+    def test_kink_on_box_face_falls_back(self):
+        # the crease u_2 = 0 of two planes, with u_1 held on its lower face
+        spec = identity_spec(2, np.array([1.0, -5.0]), np.array([2.0, 5.0]))
+        V = ValueApprox(2, spec=spec, bounds=linear_bounds([np.array([0.0, 3.0]), np.array([0.0, -3.0])]))
+        x = np.zeros(2)
+        assert exact_solve(spec, V, x) is None
+        primal, dual = solve_onestage_convex(spec, V, x)
+        assert primal.u_star == pytest.approx([1.0, 0.0], abs=1e-6)
+        assert_same_solution((primal, dual), onestage._solve_convex_ipm(spec, V, x))
+
+
+def load_ipm_failure():
+    """(spec, V-hat, x) at which the interior-point method fails on an lqr-converge corpus system.
+
+    Captured from ``run`` on corpus system 36 of ``perfbench/workloads.py``
+    (2x1, check_every=1) at the sweep solve that ended in
+    NUMERICAL_FAILURE, before the exact active-set path existed.
+    """
+    with open(Path(__file__).parent / "data" / "ipm_failure_lqr_corpus_36.json") as fh:
+        data = json.load(fh)
+    spec = gddp.problem_from_dict(data["problem"])
+    bounds = [
+        LowerBound.from_quadratic(k, QuadraticForm(np.array(b["H"]), np.array(b["l"]), b["c"]))
+        for k, b in enumerate(data["bounds"])
+    ]
+    return spec, ValueApprox(spec.n, spec=spec, bounds=bounds), np.array(data["x"])
+
+
+class TestInteriorPointFailureFixture:
+    @pytest.mark.xfail(strict=True, reason="the interior-point method does not converge on this pair (ROADMAP item 4)")
+    def test_interior_point_reaches_optimal(self):
+        spec, V, x = load_ipm_failure()
+        primal, _ = onestage._solve_convex_ipm(spec, V, x)
+        assert primal.status is SolveStatus.OPTIMAL
+
+    def test_public_solve_is_optimal_with_valid_multipliers(self):
+        spec, V, x = load_ipm_failure()
+        primal, dual = solve_onestage_convex(spec, V, x)
+        assert primal.status is SolveStatus.OPTIMAL
+        assert dual.lambda_alpha.sum() == spec.gamma
+        assert np.all(np.bincount(spec.cost.owners, weights=dual.lambda_beta) == 1.0)
+        assert np.all(dual.lambda_alpha >= 0) and np.all(dual.lambda_c >= 0)
+        assert abs(dual.J_D - primal.J_P) <= 1e-12 * (1.0 + abs(primal.J_P))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -149,6 +151,29 @@ class TestValueApprox:
             assert np.all(cur >= prev - 1e-12)
             assert np.all(cur >= 0.0)
             prev = cur
+
+    def test_holds_only_bit_identical_rows(self):
+        spec = make_scalar_lqr()
+        V = ValueApprox.initial(spec)
+        for x_hat in ([2.0], [-3.0]):
+            p, d = gddp.solve_onestage_convex(spec, V, x_hat)
+            V.append(gddp.build_lower_bound(spec, x_hat, p, d, V))
+        assert all(V.holds(b) for b in V.bounds)
+        q = V.bounds[2].materialized
+        assert not V.holds(LowerBound.from_quadratic(3, q.shifted(1e-15)))
+        assert not V.holds(LowerBound.from_quadratic(3, QuadraticForm(q.hessian, q.linear + 1e-15, q.constant)))
+
+    def test_holds_on_coefficient_rows(self):
+        spec = ball_and_beam_spec()
+        V = ValueApprox.initial(spec)
+        cfg = gddp.SolverConfig(bruteforce_grid=101)
+        for x_hat in ball_and_beam_samples(2, np.random.default_rng(4)):
+            p, d = gddp.solve_onestage_bruteforce(spec, V, x_hat, cfg)
+            V.append(gddp.build_lower_bound(spec, x_hat, p, d, V))
+        assert V._materialized_stack() is None
+        assert all(V.holds(b) for b in V.bounds)
+        b = V.bounds[1]
+        assert not V.holds(dataclasses.replace(b, offset=b.offset + 1e-12))
 
     @pytest.mark.parametrize("problem", ["scalar-lqr", "ball-and-beam"])
     def test_batch_matches_pointwise(self, problem):
@@ -316,3 +341,33 @@ class TestProblemJson:
         data["dynamics"]["builtin"] = "ball_and_beam"
         spec = gddp.problem_from_dict(data)
         assert spec.class_tag is ProblemClass.NONLINEAR_BRUTE_FORCE
+
+
+class TestStageCost:
+    def make_cost(self):
+        phi = QuadraticForm(np.eye(2), np.zeros(2), 0.0)
+        terms = (
+            CostTerm(0, phi, [1.0], [[2.0]]),
+            CostTerm(1, phi, [0.5], [[1.0]]),
+            CostTerm(0, phi, [-1.0], [[3.0]]),
+        )
+        return StageCost(2, terms)
+
+    def test_stacked_arrays_are_built_once_and_read_only(self):
+        cost = self.make_cost()
+        assert cost.r_matrix() is cost.r_matrix()
+        assert cost.R_stack() is cost.R_stack()
+        assert cost.owners is cost.owners
+        np.testing.assert_array_equal(cost.r_matrix(), [[1.0], [0.5], [-1.0]])
+        np.testing.assert_array_equal(cost.R_stack(), [[[2.0]], [[1.0]], [[3.0]]])
+        np.testing.assert_array_equal(cost.owners, [0, 1, 0])
+        for arr in (cost.r_matrix(), cost.R_stack(), cost.owners):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+    def test_owner_argmax_breaks_ties_to_the_smallest_index(self):
+        cost = self.make_cost()
+        np.testing.assert_array_equal(cost.owner_argmax(np.array([1.0, 5.0, 3.0])), [2, 1])
+        np.testing.assert_array_equal(cost.owner_argmax(np.array([2.0, 5.0, 2.0])), [0, 1])
+        values = np.array([1.0, 5.0, 3.0])
+        np.testing.assert_array_equal(values[cost.owner_argmax(values)], cost.owner_max(values))
