@@ -199,12 +199,7 @@ def pick_next_state(state: GddpState, cfg: GddpConfig, rng: np.random.Generator)
 
 
 def gddp_iterate(spec: ProblemSpec, state: GddpState, cfg: GddpConfig, rng: np.random.Generator) -> GddpState:
-    """One pick and one one-stage solve; appends the new bound or flags infeasibility.
-
-    A bound whose row the approximation already holds bit for bit is not
-    appended: the approximation would stay the same function.  The
-    iteration is still recorded, with ``v_after == v_before``.
-    """
+    """One pick and one one-stage solve; appends the new bound or flags infeasibility."""
     t0 = time.perf_counter()
     idx = pick_next_state(state, cfg, rng)
     state.last_picked = idx
@@ -242,11 +237,9 @@ def gddp_iterate(spec: ProblemSpec, state: GddpState, cfg: GddpConfig, rng: np.r
     except StrongDualityViolation as exc:
         bound = exc.bound  # still valid; improvement is no longer guaranteed
         strong = False
-    if state.V.holds(bound):  # a copy leaves V-hat the same function; only B would grow
-        v_after = v_before
-    else:
-        state.V.append(bound)
-        v_after = max(v_before, bound.evaluate(x_hat))
+    state.V.append(bound)
+
+    v_after = max(v_before, bound.evaluate(x_hat))
     eps_hat = primal.J_P - v_before
     state.bellman_errors[idx] = max(primal.J_P - v_after, 0.0)
     gap = abs(primal.J_P - dual.J_D) / (1.0 + abs(primal.J_P))

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -128,6 +127,14 @@ def _infeasible_pair(spec: ProblemSpec, n_bounds: int):
     return primal, dual
 
 
+def _box_point(lo, hi):
+    """The box midpoint (0 on unbounded axes) clipped into lo <= u <= hi, or None when empty."""
+    if np.any(lo > hi + 1e-12):
+        return None
+    mid = np.where(np.isfinite(lo) & np.isfinite(hi), 0.5 * (lo + hi), 0.0)
+    return np.clip(mid, lo, hi)
+
+
 def input_feasible_point(spec: ProblemSpec, x_hat: np.ndarray):
     """A point of U(x_hat) = {u : E u <= h(x_hat)}, or None when empty.
 
@@ -140,11 +147,7 @@ def input_feasible_point(spec: ProblemSpec, x_hat: np.ndarray):
         return np.zeros(m)
     box = cons.row_box(x_hat)
     if box is not None:
-        lo, hi = box
-        if np.any(lo > hi + 1e-12):
-            return None
-        mid = np.where(np.isfinite(lo) & np.isfinite(hi), 0.5 * (lo + hi), 0.0)
-        return np.clip(mid, lo, hi)
+        return _box_point(*box)
 
     from scipy.optimize import linprog
 
@@ -468,17 +471,6 @@ def _box_qp(Q, c, lo, hi):
     return None
 
 
-def _real_roots(a: float, b: float, c: float) -> tuple:
-    """Real roots of a t^2 + b t + c, in the cancellation-free form."""
-    if a == 0.0:
-        return () if b == 0.0 else (-c / b,)
-    disc = b * b - 4.0 * a * c
-    if disc < 0.0:
-        return ()
-    q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
-    return (q / a, c / q) if q != 0.0 else (0.0,)
-
-
 def _split_gamma(gamma: float, lam: float) -> tuple:
     """(lam, gamma - lam) rounded so that the two sum to gamma exactly."""
     small = min(lam, gamma - lam)
@@ -499,12 +491,14 @@ class _ActiveSetSolve:
     lambda_beta one-hot per owner, lambda_c from stationarity on the box
     faces.  A guess is accepted only when every other bound and term lies
     at or below the active ones at the solution (up to ``_TIE_TOL``), so
-    the multipliers are dual feasible exactly and the Lagrangian, convex
-    in u with the curvature of the reduced problem, is minimized at u.
+    the multipliers are dual feasible exactly, and when the KKT residual,
+    stationarity included, is within ``cfg.kkt_tol``, so the Lagrangian,
+    convex in u with the curvature of the reduced problem, is minimized
+    at u.
     """
 
-    def __init__(self, spec: ProblemSpec, V: ValueApprox, x_hat: np.ndarray, stack, box):
-        self.spec, self.V = spec, V
+    def __init__(self, spec: ProblemSpec, V: ValueApprox, x_hat: np.ndarray, stack, box, cfg: SolverConfig):
+        self.spec, self.V, self.cfg = spec, V, cfg
         self.Hb, self.lb, self.cb = stack
         self.lo, self.hi = box
         self.drift = spec.dynamics.drift(x_hat)
@@ -578,53 +572,44 @@ class _ActiveSetSolve:
         """Input and (lambda_i, lambda_j) of the kink between bounds i and j, or None.
 
         Solves stationarity with lambda_alpha = (lam, gamma - lam) on (i, j)
-        and g_i = g_j at the successor: a quadratic root in u for m = 1, a
-        Newton solve on (u, lam) from the input u_start otherwise.
-        Requires 0 <= lam <= gamma, the input strictly inside the box and
-        positive definite curvature; the caller checks the other bounds
-        and terms.
+        and g_i = g_j at the successor by Newton's method on (u, lam) from
+        the input u_start.  Requires the step test met within
+        ``_KINK_NEWTON_STEPS`` steps, 0 <= lam <= gamma, the input strictly
+        inside the box and positive definite curvature; the caller checks
+        the other bounds and terms, and the KKT residual.
         """
         gamma = self.spec.gamma
         Rs, rs = self.R_stk[act].sum(axis=0), self.r_mat[act].sum(axis=0)
         Pi, bi, ei = self._piece(i)
         Pj, bj, ej = self._piece(j)
         dP, db, de = Pi - Pj, bi - bj, ei - ej
-        if len(rs) == 1:
-            candidates = []
-            for t in _real_roots(0.5 * dP[0, 0], db[0], de):
-                slope = dP[0, 0] * t + db[0]
-                if slope != 0.0:
-                    lam = -((Rs[0, 0] + gamma * Pj[0, 0]) * t + rs[0] + gamma * bj[0]) / slope
-                    candidates.append((np.array([t]), lam))
+        u, lam = u_start, 0.5 * gamma
+        for _ in range(_KINK_NEWTON_STEPS):
+            Hl = Rs + lam * Pi + (gamma - lam) * Pj
+            slope = dP @ u + db
+            kkt = np.block([[Hl, slope[:, None]], [slope[None, :], np.zeros((1, 1))]])
+            F = np.append(Hl @ u + rs + lam * bi + (gamma - lam) * bj, 0.5 * u @ dP @ u + db @ u + de)
+            try:
+                step = np.linalg.solve(kkt, -F)
+            except np.linalg.LinAlgError:
+                return None
+            u, lam = u + step[:-1], lam + step[-1]
+            if np.abs(step).max() <= 1e-12 * (1.0 + np.abs(u).max() + abs(lam)):
+                break
         else:
-            u, lam = u_start, 0.5 * gamma
-            for _ in range(_KINK_NEWTON_STEPS):
-                Hl = Rs + lam * Pi + (gamma - lam) * Pj
-                slope = dP @ u + db
-                kkt = np.block([[Hl, slope[:, None]], [slope[None, :], np.zeros((1, 1))]])
-                F = np.append(Hl @ u + rs + lam * bi + (gamma - lam) * bj, 0.5 * u @ dP @ u + db @ u + de)
-                try:
-                    step = np.linalg.solve(kkt, -F)
-                except np.linalg.LinAlgError:
-                    return None
-                u, lam = u + step[:-1], lam + step[-1]
-                if np.abs(step).max() <= 1e-15 * (1.0 + np.abs(u).max() + abs(lam)):
-                    break
-            candidates = [(u, lam)]
-
-        best = None
-        for u, lam in candidates:
-            if not 0.0 <= lam <= gamma or (u <= self.lo).any() or (u >= self.hi).any():
-                continue
-            if not _positive_definite(Rs + lam * Pi + (gamma - lam) * Pj):
-                continue
-            obj = 0.5 * u @ Rs @ u + rs @ u + gamma * (0.5 * u @ Pi @ u + bi @ u)
-            if best is None or obj < best[0]:
-                best = (obj, u, _split_gamma(gamma, lam))
-        return None if best is None else best[1:]
+            return None  # the step cap ended the iteration short of convergence
+        if not 0.0 <= lam <= gamma or (u <= self.lo).any() or (u >= self.hi).any():
+            return None
+        if not _positive_definite(Rs + lam * Pi + (gamma - lam) * Pj):
+            return None
+        return u, _split_gamma(gamma, lam)
 
     def _pair(self, u, x_plus, terms, bvals, act, idx, weights, faces):
-        """Primal and dual solutions of an accepted guess; None if u leaves U(x_hat)."""
+        """Primal and dual solutions of an accepted guess.
+
+        None if u leaves U(x_hat) or the KKT residual, stationarity
+        included, exceeds ``cfg.kkt_tol * (1 + |J_P|)``.
+        """
         spec, gamma = self.spec, self.spec.gamma
         cost, cons = spec.cost, spec.constraints
         F_box = cons.E @ u - self.h
@@ -666,6 +651,8 @@ class _ActiveSetSolve:
         kkt_residual = max(
             float(np.abs(r_d).max()), float(F_box.max(initial=0.0)), float(np.abs(complementarity).max())
         )
+        if kkt_residual > self.cfg.kkt_tol * (1.0 + abs(J_P)):
+            return None
         primal = OneStageSolution(
             u_star=u, x_plus_star=x_plus, beta_star=beta, alpha_star=alpha, J_P=J_P, status=SolveStatus.OPTIMAL
         )
@@ -675,19 +662,16 @@ class _ActiveSetSolve:
         return primal, dual
 
 
-def _solve_active_set(spec: ProblemSpec, V: ValueApprox, x_hat: np.ndarray, u0):
-    """The exact solve from the feasible input u0, or None when it does not apply or verify.
+def _solve_active_set(spec: ProblemSpec, V: ValueApprox, x_hat: np.ndarray, u0, box, cfg: SolverConfig):
+    """The exact solve over the input box (lo, hi) from its point u0, or None.
 
-    It applies to inputs of dimension at most 3 whose constraint rows are
-    all box rows, with every bound materialized as a quadratic.
+    None when it does not apply or does not verify.  It applies to inputs
+    of dimension at most 3, with every bound materialized as a quadratic.
     """
     stack = V._materialized_stack()
     if stack is None or spec.m > 3:
         return None
-    box = spec.constraints.row_box(x_hat)
-    if box is None:
-        return None
-    return _ActiveSetSolve(spec, V, x_hat, stack, box).solve(u0)
+    return _ActiveSetSolve(spec, V, x_hat, stack, box, cfg).solve(u0)
 
 
 def solve_onestage_convex(
@@ -696,22 +680,26 @@ def solve_onestage_convex(
     """Solve the epigraph one-stage problem and return primal and dual solutions.
 
     Requires every bound of ``V`` to be materialized as a convex quadratic.
-    An empty input set U(x_hat) yields ``SolveStatus.INFEASIBLE``.  The
-    solve first tries an exact active set (one bound, or two tied bounds,
-    and one term per owner, over an input box of dimension at most 3) and
-    returns it when an exact KKT check passes: its multipliers are dual
-    feasible exactly and its duality gap is rounding.  Otherwise it runs
-    the interior-point method, whose result has KKT residuals within
-    ``cfg.kkt_tol`` and relative duality gap within ``cfg.duality_gap_tol``.
+    An empty input set U(x_hat) yields ``SolveStatus.INFEASIBLE``.  When
+    every constraint row is a box row, the solve first tries an exact
+    active set (one bound, or two tied bounds, and one term per owner,
+    over an input box of dimension at most 3) and returns it when its
+    check passes: no bound or term above the active ones, multipliers
+    dual feasible exactly, and KKT residuals within ``cfg.kkt_tol``.
+    Otherwise it runs the interior-point method, whose result has KKT
+    residuals within ``cfg.kkt_tol`` and relative duality gap within
+    ``cfg.duality_gap_tol``.
     """
     cfg = cfg or SolverConfig()
     x_hat = np.asarray(x_hat, dtype=float)
-    u0 = input_feasible_point(spec, x_hat)
+    box = spec.constraints.row_box(x_hat)
+    u0 = input_feasible_point(spec, x_hat) if box is None else _box_point(*box)
     if u0 is None:
         return _infeasible_pair(spec, len(V))
-    exact = _solve_active_set(spec, V, x_hat, u0)
-    if exact is not None:
-        return exact
+    if box is not None:
+        exact = _solve_active_set(spec, V, x_hat, u0, box, cfg)
+        if exact is not None:
+            return exact
     return _solve_convex_ipm(spec, V, x_hat, cfg, u0)
 
 

@@ -697,19 +697,6 @@ class _BoundBank:
             return _BoundBank(bounds, _extend(self.quadratic, _quadratic_row(bound)), None)
         return _BoundBank.stacked(bounds, spec)
 
-    def holds(self, bound: LowerBound, spec: Optional[ProblemSpec]) -> bool:
-        """Whether some row equals the row of ``bound`` bit for bit."""
-        if self.quadratic is not None:
-            if bound.materialized is None:
-                return False
-            arrays, row = self.quadratic, _quadratic_row(bound)
-        else:
-            arrays, row = self.coefficient, _coefficient_row(bound, spec)
-        same = np.ones(len(self.bounds), dtype=bool)
-        for a, r in zip(arrays, row):
-            same &= (a == np.asarray(r)).reshape(len(a), -1).all(axis=1)
-        return bool(same.any())
-
     def values(self, X: np.ndarray, spec: Optional[ProblemSpec]) -> np.ndarray:
         """Every bound's value at each row of X: (P, n) -> (P, B).
 
@@ -782,14 +769,6 @@ class ValueApprox:
 
     def append(self, bound: LowerBound) -> None:
         self._bank = self._bank.appended(bound, self.spec)
-
-    def holds(self, bound: LowerBound) -> bool:
-        """Whether the bank already has this bound's row, bit for bit.
-
-        Appending such a bound leaves the approximation the same function
-        with the same maximizing indices (ties go to the earlier row).
-        """
-        return self._bank.holds(bound, self.spec)
 
     def snapshot(self) -> "ValueApprox":
         """A fixed view of the current bounds (shares the immutable bank)."""

@@ -142,25 +142,6 @@ class TestGddpIterate:
         assert g2.constant == pytest.approx(-0.25, abs=1e-6)
         assert [r.J_P for r in state.history] == pytest.approx([2.0, 2.25], abs=1e-6)
 
-    def test_copy_of_a_held_bound_is_not_appended(self, scalar_lqr):
-        # after the worked sequence the one-stage solution at x = 2 stops
-        # changing, so every later bound is a bit-identical copy of g2
-        state = GddpState.initial(scalar_lqr, [[2.0]])
-        cfg = GddpConfig(picker=Picker.ROUND_ROBIN)
-        rng = np.random.default_rng(0)
-        probes = np.linspace(-3.0, 3.0, 13).reshape(-1, 1)
-        for _ in range(2):
-            gddp_iterate(scalar_lqr, state, cfg, rng)
-        held, values = state.V.bounds, state.V.values_batch(probes)
-        for _ in range(3):
-            gddp_iterate(scalar_lqr, state, cfg, rng)
-        assert state.V.bounds == held
-        np.testing.assert_array_equal(state.V.values_batch(probes), values)
-        assert state.iteration == len(state.history) == 5
-        for rec in state.history[2:]:
-            assert rec.v_after == rec.v_before == pytest.approx(2.25)
-            assert rec.eps_hat == 0.0
-
     def test_infeasible_point_masked_not_bounded(self):
         spec = gddp.ProblemSpec(
             n=1,

@@ -381,7 +381,10 @@ TIGHT = SolverConfig(kkt_tol=1e-11, duality_gap_tol=1e-11)
 
 def exact_solve(spec, V, x):
     x = np.asarray(x, dtype=float)
-    return onestage._solve_active_set(spec, V, x, onestage.input_feasible_point(spec, x))
+    box = spec.constraints.row_box(x)
+    if box is None:
+        return None
+    return onestage._solve_active_set(spec, V, x, onestage.input_feasible_point(spec, x), box, SolverConfig())
 
 
 def linear_bounds(slopes, offset=1.0):
@@ -453,14 +456,19 @@ class TestExactActiveSet:
                 assert np.all(dual.lambda_alpha >= 0) and np.all(dual.lambda_beta >= 0) and np.all(dual.lambda_c >= 0)
                 V.append(build_lower_bound(spec, x, primal, dual, V))
 
-    @pytest.mark.parametrize("m", [1, 2])
-    def test_kink_matches_interior_point(self, m):
-        # cost 1/2|u|^2 plus the larger of two planes that cross at u_1 = 0:
-        # the optimum sits on the crease with the bound weight split in half
+    @staticmethod
+    def crease(m):
+        """Cost 1/2|u|^2 plus the larger of two planes that cross at u_1 = 0.
+
+        The optimum sits on the crease with the bound weight split in half.
+        """
         slopes = [np.r_[3.0, np.ones(m - 1)], np.r_[-3.0, np.ones(m - 1)]]
         spec = identity_spec(m, -10 * np.ones(m), 10 * np.ones(m), gamma=0.9)
-        V = ValueApprox(m, spec=spec, bounds=linear_bounds(slopes))
-        x = np.zeros(m)
+        return spec, ValueApprox(m, spec=spec, bounds=linear_bounds(slopes)), np.zeros(m)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_kink_matches_interior_point(self, m):
+        spec, V, x = self.crease(m)
         primal, dual = exact_solve(spec, V, x)
         ref, _ = onestage._solve_convex_ipm(spec, V, x, TIGHT)
         assert np.count_nonzero(dual.lambda_alpha) == 2
@@ -469,6 +477,30 @@ class TestExactActiveSet:
         assert abs(primal.J_P - ref.J_P) <= 1e-8 * (1.0 + abs(ref.J_P))
         assert primal.u_star == pytest.approx(ref.u_star, abs=1e-6)
         assert_same_solution(solve_onestage_convex(spec, V, x), (primal, dual))
+
+    def test_kink_newton_step_cap_falls_back(self, monkeypatch):
+        # one Newton step from the single-bound solution does not meet the
+        # step test, so the kink is not used even where that step lands on it
+        spec, V, x = self.crease(2)
+        assert exact_solve(spec, V, x) is not None
+        monkeypatch.setattr(onestage, "_KINK_NEWTON_STEPS", 1)
+        assert exact_solve(spec, V, x) is None
+        assert_same_solution(solve_onestage_convex(spec, V, x), onestage._solve_convex_ipm(spec, V, x))
+
+    def test_non_stationary_point_is_rejected(self):
+        # moving along the crease keeps both bounds tied and every check but
+        # stationarity satisfied; the KKT residual must reject the point
+        spec, V, x = self.crease(2)
+        box = spec.constraints.row_box(x)
+        solver = onestage._ActiveSetSolve(spec, V, x, V._materialized_stack(), box, SolverConfig())
+        act = spec.cost.owner_argmax(np.zeros(spec.cost.J))
+        u, weights = solver._kink(1, 2, act, np.zeros(2))
+        no_faces = np.zeros(2, dtype=int)
+        assert solver._pair(u, *solver._at(u), act, [1, 2], weights, no_faces) is not None
+        moved = u + np.array([0.0, 1e-4])
+        x_plus, terms, bvals = solver._at(moved)
+        assert solver._active(terms, bvals, act, [1, 2])
+        assert solver._pair(moved, x_plus, terms, bvals, act, [1, 2], weights, no_faces) is None
 
     def test_input_dimension_above_three_falls_back(self):
         spec = identity_spec(4, -np.ones(4), np.ones(4))

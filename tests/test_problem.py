@@ -152,29 +152,6 @@ class TestValueApprox:
             assert np.all(cur >= 0.0)
             prev = cur
 
-    def test_holds_only_bit_identical_rows(self):
-        spec = make_scalar_lqr()
-        V = ValueApprox.initial(spec)
-        for x_hat in ([2.0], [-3.0]):
-            p, d = gddp.solve_onestage_convex(spec, V, x_hat)
-            V.append(gddp.build_lower_bound(spec, x_hat, p, d, V))
-        assert all(V.holds(b) for b in V.bounds)
-        q = V.bounds[2].materialized
-        assert not V.holds(LowerBound.from_quadratic(3, q.shifted(1e-15)))
-        assert not V.holds(LowerBound.from_quadratic(3, QuadraticForm(q.hessian, q.linear + 1e-15, q.constant)))
-
-    def test_holds_on_coefficient_rows(self):
-        spec = ball_and_beam_spec()
-        V = ValueApprox.initial(spec)
-        cfg = gddp.SolverConfig(bruteforce_grid=101)
-        for x_hat in ball_and_beam_samples(2, np.random.default_rng(4)):
-            p, d = gddp.solve_onestage_bruteforce(spec, V, x_hat, cfg)
-            V.append(gddp.build_lower_bound(spec, x_hat, p, d, V))
-        assert V._materialized_stack() is None
-        assert all(V.holds(b) for b in V.bounds)
-        b = V.bounds[1]
-        assert not V.holds(dataclasses.replace(b, offset=b.offset + 1e-12))
-
     @pytest.mark.parametrize("problem", ["scalar-lqr", "ball-and-beam"])
     def test_batch_matches_pointwise(self, problem):
         # the stacked kernel against the scalar reference max over
