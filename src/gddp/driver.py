@@ -85,6 +85,17 @@ class IterationRecord:
 
 @dataclass
 class GddpState:
+    """The sample set, its latest Bellman errors and the approximation built so far.
+
+    ``solutions`` maps a sample index to (primal, dual, B): its last
+    one-stage solution and the bank size B at that solve.  The solution
+    is optimal for the current bank as long as every bound appended since,
+    evaluated at x+*, is at most alpha* (the multipliers of those bounds
+    are zero; ``dual.lambda_alpha`` keeps length B).
+    ``solves`` and ``reused`` count fresh one-stage solves and reused
+    solutions.
+    """
+
     V: ValueApprox
     sample_set: np.ndarray  # (M, n)
     bellman_errors: np.ndarray  # (M,)
@@ -93,6 +104,9 @@ class GddpState:
     history: list = field(default_factory=list)
     rr_next: int = 0
     last_picked: Optional[int] = None
+    solutions: dict = field(default_factory=dict)
+    solves: int = 0
+    reused: int = 0
 
     @classmethod
     def initial(cls, spec: ProblemSpec, sample_set) -> "GddpState":
@@ -119,6 +133,8 @@ class GddpResult:
     converged: bool
     final_errors: np.ndarray
     trace: list
+    solves: int  # fresh one-stage solves, sweeps and picks together
+    reused: int  # one-stage solutions reused instead of solved
 
     def max_error(self) -> float:
         finite = self.final_errors[np.isfinite(self.final_errors)]
@@ -128,6 +144,7 @@ class GddpResult:
 class BellmanError(NamedTuple):
     value: float
     feasible: bool
+    solution: Optional[tuple] = None  # (primal, dual) of the one-stage solve
 
 
 def solve_onestage(spec: ProblemSpec, V: ValueApprox, x, cfg: SolverConfig):
@@ -140,22 +157,43 @@ def solve_onestage(spec: ProblemSpec, V: ValueApprox, x, cfg: SolverConfig):
 def bellman_error(spec: ProblemSpec, V: ValueApprox, x, cfg: Optional[SolverConfig] = None) -> BellmanError:
     """One-stage optimum minus current value at x; zero (flagged) if U(x) is empty."""
     cfg = cfg or SolverConfig()
-    primal, _ = solve_onestage(spec, V, x, cfg)
+    primal, dual = solve_onestage(spec, V, x, cfg)
     if primal.status is SolveStatus.INFEASIBLE:
-        return BellmanError(0.0, False)
+        return BellmanError(0.0, False, (primal, dual))
     if primal.status is not SolveStatus.OPTIMAL:
         raise NumericalError(f"one-stage solve failed while measuring the Bellman error at x={np.asarray(x)}")
-    return BellmanError(primal.J_P - V.value(x), True)
+    return BellmanError(primal.J_P - V.value(x), True, (primal, dual))
+
+
+def _still_optimal(V: ValueApprox, primal, B: int) -> bool:
+    """Whether every bound from index B on lies at or below alpha* at x+*."""
+    return len(V) == B or bool(V._bound_values(primal.x_plus_star[None])[0, B:].max() <= primal.alpha_star)
+
+
+def _reuse(state: GddpState, idx: int):
+    """Sample idx's cached (primal, dual) if still optimal for the current bank, else None."""
+    entry = state.solutions.get(idx)
+    if entry is None or not _still_optimal(state.V, entry[0], entry[2]):
+        return None
+    state.reused += 1
+    return entry[:2]
 
 
 def _measure_all_errors(spec: ProblemSpec, state: GddpState, cfg: GddpConfig) -> None:
     for idx in state.feasible_indices:
-        err = bellman_error(spec, state.V, state.sample_set[idx], cfg.solver)
+        x = state.sample_set[idx]
+        cached = _reuse(state, idx)
+        if cached is not None:
+            state.bellman_errors[idx] = cached[0].J_P - state.V.value(x)
+            continue
+        err = bellman_error(spec, state.V, x, cfg.solver)
+        state.solves += 1
         if not err.feasible:
             state.infeasible_mask[idx] = True
             state.bellman_errors[idx] = 0.0
         else:
             state.bellman_errors[idx] = err.value
+            state.solutions[idx] = (*err.solution, len(state.V))
 
 
 def _converged(state: GddpState, delta: float) -> bool:
@@ -199,14 +237,24 @@ def pick_next_state(state: GddpState, cfg: GddpConfig, rng: np.random.Generator)
 
 
 def gddp_iterate(spec: ProblemSpec, state: GddpState, cfg: GddpConfig, rng: np.random.Generator) -> GddpState:
-    """One pick and one one-stage solve; appends the new bound or flags infeasibility."""
+    """One pick and one one-stage solve; appends the new bound or flags infeasibility.
+
+    A still-optimal cached solution of the picked sample replaces the solve
+    (see :class:`GddpState`).
+    """
     t0 = time.perf_counter()
     idx = pick_next_state(state, cfg, rng)
     state.last_picked = idx
     x_hat = state.sample_set[idx]
     v_before = state.V.value(x_hat)
 
-    primal, dual = solve_onestage(spec, state.V, x_hat, cfg.solver)
+    cached = _reuse(state, idx)
+    if cached is None:
+        primal, dual = solve_onestage(spec, state.V, x_hat, cfg.solver)
+        state.solves += 1
+        state.solutions[idx] = (primal, dual, len(state.V))
+    else:
+        primal, dual = cached
     if primal.status is SolveStatus.INFEASIBLE:
         state.infeasible_mask[idx] = True
         state.bellman_errors[idx] = 0.0
@@ -276,6 +324,10 @@ def run(spec: ProblemSpec, sample_set, cfg: Optional[GddpConfig] = None) -> Gddp
     Bellman errors for all samples are re-measured every ``cfg.check_every``
     iterations; the loop stops when their maximum over feasible samples is
     at most ``cfg.delta`` (converged) or after ``cfg.max_iterations`` picks.
+    A re-measurement, like a pick, re-solves a sample only when a bound
+    appended since its last solve lies above that solve's alpha* at its
+    successor x+*; otherwise the last optimum still holds and its error is
+    J_P - V(x).
     """
     cfg = cfg or GddpConfig()
     state = GddpState.initial(spec, sample_set)
@@ -305,5 +357,7 @@ def run(spec: ProblemSpec, sample_set, cfg: Optional[GddpConfig] = None) -> Gddp
         converged=converged,
         final_errors=state.bellman_errors.copy(),
         trace=state.history,
+        solves=state.solves,
+        reused=state.reused,
     )
 

@@ -507,6 +507,7 @@ class _ActiveSetSolve:
         self.phi = spec.cost.phi_vector(x_hat)
         self.r_mat = spec.cost.r_matrix()
         self.R_stk = spec.cost.R_stack()
+        self._sums = {}
 
     def solve(self, u0):
         """(primal, dual) from at most 1 + ``_MAX_REPICKS`` guesses, or None.
@@ -526,10 +527,11 @@ class _ActiveSetSolve:
                 return None
             tried.add((i, tuple(act)))
             P, b, _ = self._piece(i)
-            Q = self.R_stk[act].sum(axis=0) + gamma * P
+            Rs, rs = self._summed(act)
+            Q = Rs + gamma * P
             if not _positive_definite(Q):
                 return None
-            sol = _box_qp(Q, self.r_mat[act].sum(axis=0) + gamma * b, self.lo, self.hi)
+            sol = _box_qp(Q, rs + gamma * b, self.lo, self.hi)
             if sol is None:
                 return None
             u, faces = sol
@@ -553,6 +555,13 @@ class _ActiveSetSolve:
         x_plus = self.drift + self.W @ u
         terms = self.phi + self.r_mat @ u + 0.5 * np.einsum("jab,a,b->j", self.R_stk, u, u)
         return x_plus, terms, self.V._bound_values(x_plus[None])[0]
+
+    def _summed(self, act):
+        """(sum of R_a, sum of r_a) over the active terms act, computed once per set."""
+        key = tuple(act)
+        if key not in self._sums:
+            self._sums[key] = self.R_stk[act].sum(axis=0), self.r_mat[act].sum(axis=0)
+        return self._sums[key]
 
     def _piece(self, i):
         """Bound i as a function of the input: 1/2 u'P u + b'u + e."""
@@ -579,7 +588,7 @@ class _ActiveSetSolve:
         the other bounds and terms, and the KKT residual.
         """
         gamma = self.spec.gamma
-        Rs, rs = self.R_stk[act].sum(axis=0), self.r_mat[act].sum(axis=0)
+        Rs, rs = self._summed(act)
         Pi, bi, ei = self._piece(i)
         Pj, bj, ej = self._piece(j)
         dP, db, de = Pi - Pj, bi - bj, ei - ej
@@ -619,12 +628,14 @@ class _ActiveSetSolve:
         alpha = float(bvals.max())
         J_P = float(beta.sum() + gamma * alpha)
 
+        weights = np.asarray(weights)
         lam_beta = np.zeros(cost.J)
         lam_beta[act] = 1.0
         lam_alpha = np.zeros(len(bvals))
         lam_alpha[idx] = weights
-        nu = np.asarray(weights) @ (self.Hb[idx] @ x_plus + self.lb[idx])
-        grad = self.r_mat[act].sum(axis=0) + self.R_stk[act].sum(axis=0) @ u + self.W.T @ nu
+        nu = weights @ (self.Hb[idx] @ x_plus + self.lb[idx])
+        Rs, rs = self._summed(act)
+        grad = rs + Rs @ u + self.W.T @ nu
         lam_c = np.zeros(cons.n_c)
         if faces.any():
             # the binding row of each face coordinate is the one row_box took its bound from
@@ -635,21 +646,17 @@ class _ActiveSetSolve:
                 row = np.flatnonzero((cols == k) & (faces[k] * coef > 0) & (row_bound == face))[0]
                 lam_c[row] = max(-grad[k] / coef[row], 0.0)
 
-        # dual objective and KKT residual as the Lagrangian at (u, lambda),
-        # with the rows and residuals of the interior-point path
-        F_cost = terms - beta[cost.owners]
-        F_bnd = bvals - alpha
-        J_D = float(beta.sum() + gamma * alpha + lam_c @ F_box + lam_beta @ F_cost + lam_alpha @ F_bnd)
-        r_d = np.concatenate(
-            [
-                grad + cons.E.T @ lam_c,
-                1.0 - np.bincount(cost.owners, weights=lam_beta, minlength=cost.K),
-                [gamma - lam_alpha.sum()],
-            ]
-        )
-        complementarity = np.concatenate([lam_c * F_box, lam_beta * F_cost, lam_alpha * F_bnd])
+        # dual objective and KKT residual as the Lagrangian at (u, lambda), with
+        # the rows and residuals of the interior-point path; only the active
+        # terms (lambda_beta = 1) and bounds (the weights) carry multipliers,
+        # and the multiplier sums hold exactly by construction
+        F_cost = terms[act] - beta
+        F_bnd = bvals[idx] - alpha
+        comp_box = lam_c * F_box
+        J_D = float(beta.sum() + gamma * alpha + comp_box.sum() + F_cost.sum() + weights @ F_bnd)
         kkt_residual = max(
-            float(np.abs(r_d).max()), float(F_box.max(initial=0.0)), float(np.abs(complementarity).max())
+            float(np.abs(np.concatenate([grad + cons.E.T @ lam_c, comp_box, F_cost, weights * F_bnd])).max()),
+            float(F_box.max(initial=0.0)),
         )
         if kkt_residual > self.cfg.kkt_tol * (1.0 + abs(J_P)):
             return None

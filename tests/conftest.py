@@ -30,6 +30,22 @@ def widen_box(spec, radius):
     )
 
 
+def lqr_corpus(count=48):
+    """The first ``count`` systems and sample sets of the benchmark's lqr-converge corpus.
+
+    Dimensions cycle through 2x1, 3x1 and 4x2, with 5 samples each, drawn as
+    ``perfbench/workloads.py`` draws them (corpus seed 0).
+    """
+    dims = ((2, 1), (3, 1), (4, 2))
+    corpus = []
+    for i in range(count):
+        n, m = dims[i % len(dims)]
+        cfg = gddp.RandomSystemConfig(n=n, m=m, sample_count=5)
+        rng = np.random.default_rng([0, 0, i])
+        corpus.append((gddp.generate_random_system(cfg, rng), gddp.sample_states(cfg, rng)))
+    return corpus
+
+
 def worked_value_approx(spec):
     """The two hand-derived bounds generated at x_hat = 2 on the scalar problem."""
     V = gddp.ValueApprox.initial(spec)

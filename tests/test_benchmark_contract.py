@@ -38,3 +38,20 @@ def test_traced_solve_and_value_on_scalar_lqr():
     assert table["onestage.solve_convex"]["calls"] == 1
     assert table[next(k for k, v in METHOD_PATCHES.items() if v == "evaluate")]["calls"] == 1
     assert all(getattr(m, attr) is fn for (m, attr), fn in originals.items())
+
+
+def test_traced_run_calls_bellman_error_and_appends_every_built_bound():
+    # the benchmark reads the sweep through driver.bellman_error and counts
+    # one append per built bound; a run that bypasses either breaks it
+    from gddp import GddpConfig, RandomSystemConfig, driver, generate_random_system, sample_states
+
+    sys_cfg = RandomSystemConfig(n=2, m=1, sample_count=5)
+    rng = np.random.default_rng(3)
+    spec, X = generate_random_system(sys_cfg, rng), sample_states(sys_cfg, rng)
+    tracer = Tracer()
+    with tracer:
+        result = driver.run(spec, X, GddpConfig(check_every=1))
+    table = tracer.layer_table()
+    assert result.converged and result.reused > 0
+    assert table["driver.bellman_error"]["calls"] > 0
+    assert table["onestage.build_lower_bound"]["calls"] == len(result.V_hat) - 1 == result.iterations_used

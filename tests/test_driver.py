@@ -11,12 +11,13 @@ from gddp import (
     QuadraticForm,
     ValueApprox,
     bellman_error,
+    driver,
     gddp_iterate,
     pick_next_state,
     run,
 )
 
-from conftest import make_scalar_lqr, widen_box
+from conftest import lqr_corpus, make_scalar_lqr, widen_box
 
 
 def make_state(spec, samples, errors=None, infeasible=None):
@@ -62,7 +63,7 @@ class TestBellmanError:
             class_tag=ProblemClass.CONVEX_QUADRATIC,
         )
         err = bellman_error(spec, ValueApprox.initial(spec), [-5.0])
-        assert err == (0.0, False)
+        assert (err.value, err.feasible) == (0.0, False)
 
 
 class TestPickNextState:
@@ -243,3 +244,53 @@ class TestRun:
             assert abs(gain - rec.eps_hat) <= 1e-5 * (1 + rec.eps_hat)
             checked += 1
         assert checked > 0
+
+
+class TestSolutionReuse:
+    def test_reuse_matches_resolving_every_sample(self, monkeypatch):
+        # the reference re-solves every sample at every sweep and pick; at the
+        # default tolerances a fresh solve may take the interior-point path
+        # (KKT tolerance 1e-8) where the reused one was exact, so both sides
+        # run at 1e-11 to compare reuse, not solver tolerance
+        tight = gddp.SolverConfig(kkt_tol=1e-11, duality_gap_tol=1e-11)
+        cfg = GddpConfig(delta=1e-3, picker=Picker.MAX_BELLMAN_ERROR, check_every=1, solver=tight)
+        corpus = lqr_corpus(12)
+        reused = [run(spec, X, cfg) for spec, X in corpus]
+        monkeypatch.setattr(driver, "_still_optimal", lambda V, primal, B: False)
+        fresh = [run(spec, X, cfg) for spec, X in corpus]
+        for a, b in zip(reused, fresh):
+            assert (a.iterations_used, len(a.V_hat), a.converged) == (b.iterations_used, len(b.V_hat), b.converged)
+            assert [r.picked_index for r in a.trace] == [r.picked_index for r in b.trace]
+            for ra, rb in zip(a.trace, b.trace):
+                assert abs(ra.J_P - rb.J_P) <= 1e-9 * abs(rb.J_P)
+            assert b.reused == 0
+            assert a.solves + a.reused == b.solves
+        assert sum(a.reused for a in reused) > 0
+        assert sum(a.solves for a in reused) < sum(b.solves for b in fresh)
+
+    def _swept_state(self, spec):
+        state = GddpState.initial(spec, [[2.0]])
+        driver._measure_all_errors(spec, state, GddpConfig())
+        assert (state.solves, state.reused) == (1, 0)
+        return state
+
+    def test_bound_above_alpha_forces_a_resolve(self, scalar_lqr):
+        state = self._swept_state(scalar_lqr)
+        primal, _, B = state.solutions[0]
+        assert B == 1
+        # a constant bound above alpha* at the cached successor cuts the old optimum off
+        state.V.append(LowerBound.from_quadratic(1, QuadraticForm([[0.0]], [0.0], primal.alpha_star + 0.5)))
+        expected, _ = gddp.solve_onestage(scalar_lqr, state.V.snapshot(), [2.0], gddp.SolverConfig())
+        gddp_iterate(scalar_lqr, state, GddpConfig(picker=Picker.ROUND_ROBIN), np.random.default_rng(0))
+        assert (state.solves, state.reused) == (2, 0)
+        assert state.history[-1].J_P == expected.J_P
+        assert expected.J_P > primal.J_P
+
+    def test_bound_at_or_below_alpha_keeps_the_solution(self, scalar_lqr):
+        state = self._swept_state(scalar_lqr)
+        primal, dual, _ = state.solutions[0]
+        state.V.append(LowerBound.from_quadratic(1, QuadraticForm([[0.0]], [0.0], primal.alpha_star)))
+        gddp_iterate(scalar_lqr, state, GddpConfig(picker=Picker.ROUND_ROBIN), np.random.default_rng(0))
+        assert (state.solves, state.reused) == (1, 1)
+        assert state.history[-1].J_P == primal.J_P
+        assert state.solutions[0] == (primal, dual, 1)

@@ -23,7 +23,7 @@ from gddp import (
     zeta2,
 )
 
-from conftest import make_scalar_lqr, widen_box, worked_value_approx
+from conftest import lqr_corpus, make_scalar_lqr, widen_box, worked_value_approx
 
 
 def grid_min_oracle(spec, quad_bounds, x_hat, lo=-1.0, hi=1.0, pts=400001):
@@ -542,6 +542,118 @@ class TestExactActiveSet:
         primal, dual = solve_onestage_convex(spec, V, x)
         assert primal.u_star == pytest.approx([1.0, 0.0], abs=1e-6)
         assert_same_solution((primal, dual), onestage._solve_convex_ipm(spec, V, x))
+
+
+def full_row_pair(self, u, x_plus, terms, bvals, act, idx, weights, faces):
+    """Reference for ``_ActiveSetSolve._pair``: J_D and the KKT residual over every row.
+
+    Forms the complementarity and dual objective over all terms, bounds and
+    constraint rows, and includes the multiplier-sum rows of the
+    interior-point path, which are exactly zero on this path.
+    """
+    spec, gamma = self.spec, self.spec.gamma
+    cost, cons = spec.cost, spec.constraints
+    F_box = cons.E @ u - self.h
+    if (F_box > onestage._TIE_TOL * (1.0 + np.abs(self.h))).any():
+        return None
+    beta = cost.owner_max(terms)
+    alpha = float(bvals.max())
+    J_P = float(beta.sum() + gamma * alpha)
+
+    lam_beta = np.zeros(cost.J)
+    lam_beta[act] = 1.0
+    lam_alpha = np.zeros(len(bvals))
+    lam_alpha[idx] = weights
+    nu = np.asarray(weights) @ (self.Hb[idx] @ x_plus + self.lb[idx])
+    grad = self.r_mat[act].sum(axis=0) + self.R_stk[act].sum(axis=0) @ u + self.W.T @ nu
+    lam_c = np.zeros(cons.n_c)
+    if faces.any():
+        # the binding row of each face coordinate is the one row_box took its bound from
+        cols, coef = cons._box_rows
+        row_bound = self.h / coef
+        for k in np.flatnonzero(faces):
+            face = self.hi[k] if faces[k] > 0 else self.lo[k]
+            row = np.flatnonzero((cols == k) & (faces[k] * coef > 0) & (row_bound == face))[0]
+            lam_c[row] = max(-grad[k] / coef[row], 0.0)
+
+    # dual objective and KKT residual as the Lagrangian at (u, lambda),
+    # with the rows and residuals of the interior-point path
+    F_cost = terms - beta[cost.owners]
+    F_bnd = bvals - alpha
+    J_D = float(beta.sum() + gamma * alpha + lam_c @ F_box + lam_beta @ F_cost + lam_alpha @ F_bnd)
+    r_d = np.concatenate(
+        [
+            grad + cons.E.T @ lam_c,
+            1.0 - np.bincount(cost.owners, weights=lam_beta, minlength=cost.K),
+            [gamma - lam_alpha.sum()],
+        ]
+    )
+    complementarity = np.concatenate([lam_c * F_box, lam_beta * F_cost, lam_alpha * F_bnd])
+    kkt_residual = max(
+        float(np.abs(r_d).max()), float(F_box.max(initial=0.0)), float(np.abs(complementarity).max())
+    )
+    if kkt_residual > self.cfg.kkt_tol * (1.0 + abs(J_P)):
+        return None
+    primal = OneStageSolution(
+        u_star=u, x_plus_star=x_plus, beta_star=beta, alpha_star=alpha, J_P=J_P, status=SolveStatus.OPTIMAL
+    )
+    dual = DualSolution(
+        nu=nu, lambda_c=lam_c, lambda_beta=lam_beta, lambda_alpha=lam_alpha, J_D=J_D, kkt_residual=kkt_residual
+    )
+    return primal, dual
+
+
+
+
+def assert_bit_identical(a, b):
+    for x, y in zip(a, b):
+        for name in x.__dataclass_fields__:
+            p, q = getattr(x, name), getattr(y, name)
+            if isinstance(p, np.ndarray):
+                assert p.shape == q.shape and p.tobytes() == q.tobytes(), name
+            elif isinstance(p, float):
+                assert p.hex() == q.hex(), name
+            else:
+                assert p == q, name
+
+
+class TestLeanPair:
+    def test_bit_identical_to_the_full_row_reference(self, monkeypatch):
+        lean = onestage._ActiveSetSolve._pair
+        seen = {"accepted": 0, "rejected": 0}
+
+        def both(solver, *args):
+            got, ref = lean(solver, *args), full_row_pair(solver, *args)
+            assert (got is None) == (ref is None)
+            if ref is None:
+                seen["rejected"] += 1
+            else:
+                seen["accepted"] += 1
+                assert_bit_identical(got, ref)
+            return got
+
+        monkeypatch.setattr(onestage._ActiveSetSolve, "_pair", both)
+        cfg = gddp.GddpConfig(delta=1e-3, picker=gddp.Picker.MAX_BELLMAN_ERROR, check_every=1)
+        for spec, X in lqr_corpus():
+            gddp.run(spec, X, cfg)
+        # set-up of the first certify-frozen system (perfbench/workloads.py)
+        sys_cfg = gddp.RandomSystemConfig(n=3, m=1, sample_count=10)
+        rng = np.random.default_rng([0, 1, 0])
+        spec = dataclasses.replace(
+            gddp.generate_random_system(sys_cfg, rng),
+            constraints=gddp.InputConstraintSet.box(-1e3 * np.ones(1), 1e3 * np.ones(1), 3),
+        )
+        cert_cfg = gddp.GddpConfig(delta=1e-3, max_iterations=100, picker=gddp.Picker.MAX_BELLMAN_ERROR, check_every=5)
+        gddp.run(spec, gddp.sample_states(sys_cfg, rng), cert_cfg)
+        # several terms per owner, and a point off the crease that must be rejected
+        spec = random_convex_spec(np.random.default_rng(7), 3, 3, 2, 4, 0.8)
+        V = ValueApprox.initial(spec)
+        for x in np.random.default_rng(8).normal(0.0, 3.0, size=(12, 3)):
+            primal, dual = solve_onestage_convex(spec, V, x)
+            V.append(build_lower_bound(spec, x, primal, dual, V))
+        TestExactActiveSet().test_non_stationary_point_is_rejected()
+        assert seen["accepted"] > 500
+        assert seen["rejected"] >= 1
 
 
 def load_ipm_failure():
