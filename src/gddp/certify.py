@@ -222,19 +222,6 @@ def rollout_greedy(spec: ProblemSpec, V: ValueApprox, x0, steps: int, cfg: Optio
     )
 
 
-def controllability_index(A: np.ndarray, B: np.ndarray) -> int:
-    """Smallest k with [B, AB, ..., A^{k-1}B] of full row rank."""
-    n = A.shape[0]
-    blocks = []
-    Ak_B = B.copy()
-    for k in range(1, n + 1):
-        blocks.append(Ak_B)
-        if np.linalg.matrix_rank(np.hstack(blocks)) == n:
-            return k
-        Ak_B = A @ Ak_B
-    raise ValidationError("the pair (A, B) is not controllable")
-
-
 def tail_completion(spec: ProblemSpec, x_near, anchor) -> np.ndarray:
     """Exact k-step steering of x_near to the anchor for linear dynamics.
 
@@ -249,7 +236,7 @@ def tail_completion(spec: ProblemSpec, x_near, anchor) -> np.ndarray:
     A, B, a = dyn.A, dyn.B, dyn.a
     x_near = np.asarray(x_near, dtype=float)
     anchor = np.asarray(anchor, dtype=float)
-    k = controllability_index(A, B)
+    k = dyn.controllability_index
 
     # x_k = A^k x + sum_i A^{k-1-i} (a + B u_i)
     G = np.zeros((spec.n, k * spec.m))
@@ -309,7 +296,7 @@ def certify_m1(
     _check_anchor(spec, anchor)
     lower = V.value(x)
 
-    k_tail = controllability_index(spec.dynamics.A, spec.dynamics.B) if spec.dynamics.is_affine else None
+    k_tail = spec.dynamics.controllability_index if spec.dynamics.is_affine else None
 
     states = [x]
     inputs = []

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -129,10 +130,16 @@ def _infeasible_pair(spec: ProblemSpec, n_bounds: int):
 
 def _box_point(lo, hi):
     """The box midpoint (0 on unbounded axes) clipped into lo <= u <= hi, or None when empty."""
-    if np.any(lo > hi + 1e-12):
+    lo, hi = lo.tolist(), hi.tolist()
+    if any(a > b + 1e-12 for a, b in zip(lo, hi)):
         return None
-    mid = np.where(np.isfinite(lo) & np.isfinite(hi), 0.5 * (lo + hi), 0.0)
-    return np.clip(mid, lo, hi)
+    point = []
+    for a, b in zip(lo, hi):
+        mid = 0.5 * (a + b) if math.isfinite(a) and math.isfinite(b) else 0.0
+        # np.clip: the larger of mid and a, then the smaller of that and b, each keeping a NaN first operand
+        mid = mid if mid > a or mid != mid else a
+        point.append(mid if mid < b or mid != mid else b)
+    return np.array(point, dtype=float)
 
 
 def input_feasible_point(spec: ProblemSpec, x_hat: np.ndarray):
@@ -453,7 +460,7 @@ def _box_qp(Q, c, lo, hi):
     when no choice passes.
     """
     u = np.linalg.solve(Q, -c)
-    if (u >= lo).all() and (u <= hi).all():
+    if all(a <= v <= b for v, a, b in zip(u.tolist(), lo.tolist(), hi.tolist())):
         return u, np.zeros(len(c), dtype=int)
     for faces, on, free in _FACE_SETS[len(c)]:
         u = np.where(faces < 0, lo, hi)
@@ -507,7 +514,9 @@ class _ActiveSetSolve:
         self.phi = spec.cost.phi_vector(x_hat)
         self.r_mat = spec.cost.r_matrix()
         self.R_stk = spec.cost.R_stack()
+        self._owners = spec.cost.owners.tolist()
         self._sums = {}
+        self._pieces = {}
 
     def solve(self, u0):
         """(primal, dual) from at most 1 + ``_MAX_REPICKS`` guesses, or None.
@@ -523,9 +532,10 @@ class _ActiveSetSolve:
         i, act = int(bvals.argmax()), cost.owner_argmax(terms)
         tried = set()
         for _ in range(_MAX_REPICKS + 1):
-            if (i, tuple(act)) in tried:
+            guess = (i, tuple(act.tolist()))
+            if guess in tried:
                 return None
-            tried.add((i, tuple(act)))
+            tried.add(guess)
             P, b, _ = self._piece(i)
             Rs, rs = self._summed(act)
             Q = Rs + gamma * P
@@ -539,7 +549,7 @@ class _ActiveSetSolve:
             if self._active(terms, bvals, act, [i]):
                 return self._pair(u, x_plus, terms, bvals, act, [i], [gamma], faces)
             nxt, act_next = int(bvals.argmax()), cost.owner_argmax(terms)
-            if nxt != i and np.array_equal(act_next, act):
+            if nxt != i and act_next.tolist() == act.tolist():
                 kink = self._kink(i, nxt, act, u)
                 if kink is not None:
                     u, weights = kink
@@ -558,24 +568,31 @@ class _ActiveSetSolve:
 
     def _summed(self, act):
         """(sum of R_a, sum of r_a) over the active terms act, computed once per set."""
-        key = tuple(act)
+        key = tuple(act.tolist())
         if key not in self._sums:
             self._sums[key] = self.R_stk[act].sum(axis=0), self.r_mat[act].sum(axis=0)
         return self._sums[key]
 
     def _piece(self, i):
-        """Bound i as a function of the input: 1/2 u'P u + b'u + e."""
-        H, l, W = self.Hb[i], self.lb[i], self.W
-        grad0 = H @ self.drift + l
-        return W.T @ H @ W, W.T @ grad0, 0.5 * (grad0 + l) @ self.drift + self.cb[i]
+        """Bound i as a function of the input: 1/2 u'P u + b'u + e, computed once per bound."""
+        if i not in self._pieces:
+            H, l, W = self.Hb[i], self.lb[i], self.W
+            grad0 = H @ self.drift + l
+            self._pieces[i] = W.T @ H @ W, W.T @ grad0, 0.5 * (grad0 + l) @ self.drift + self.cb[i]
+        return self._pieces[i]
 
     def _active(self, terms, bvals, act, idx) -> bool:
         """No bound above the active ones and no term above its owner's active term."""
-        top = bvals[idx].min()
+        # a NaN value makes bvals.max() NaN and the test pass whatever top is,
+        # so the smaller active value may be taken without NaN propagation
+        top = min(bvals[j] for j in idx)
         if bvals.max() > top + _TIE_TOL * (1.0 + abs(top)):
             return False
-        t_act = terms[act]
-        return bool((self.spec.cost.owner_max(terms) <= t_act + _TIE_TOL * (1.0 + np.abs(t_act))).all())
+        # each owner's largest term lies at or below the owner's limit exactly
+        # when each of its terms does, NaN included
+        terms = terms.tolist()
+        limit = [t + _TIE_TOL * (1.0 + abs(t)) for t in (terms[a] for a in act.tolist())]
+        return all(t <= limit[k] for t, k in zip(terms, self._owners))
 
     def _kink(self, i, j, act, u_start):
         """Input and (lambda_i, lambda_j) of the kink between bounds i and j, or None.
@@ -592,12 +609,16 @@ class _ActiveSetSolve:
         Pi, bi, ei = self._piece(i)
         Pj, bj, ej = self._piece(j)
         dP, db, de = Pi - Pj, bi - bj, ei - ej
+        m = len(u_start)
+        kkt, F = np.zeros((m + 1, m + 1)), np.empty(m + 1)  # [[H_lam, slope], [slope', 0]] and the residual
         u, lam = u_start, 0.5 * gamma
         for _ in range(_KINK_NEWTON_STEPS):
             Hl = Rs + lam * Pi + (gamma - lam) * Pj
             slope = dP @ u + db
-            kkt = np.block([[Hl, slope[:, None]], [slope[None, :], np.zeros((1, 1))]])
-            F = np.append(Hl @ u + rs + lam * bi + (gamma - lam) * bj, 0.5 * u @ dP @ u + db @ u + de)
+            kkt[:m, :m] = Hl
+            kkt[:m, m] = kkt[m, :m] = slope
+            F[:m] = Hl @ u + rs + lam * bi + (gamma - lam) * bj
+            F[m] = 0.5 * u @ dP @ u + db @ u + de
             try:
                 step = np.linalg.solve(kkt, -F)
             except np.linalg.LinAlgError:
@@ -607,7 +628,9 @@ class _ActiveSetSolve:
                 break
         else:
             return None  # the step cap ended the iteration short of convergence
-        if not 0.0 <= lam <= gamma or (u <= self.lo).any() or (u >= self.hi).any():
+        if not 0.0 <= lam <= gamma:
+            return None
+        if any(a <= l or a >= h for a, l, h in zip(u.tolist(), self.lo.tolist(), self.hi.tolist())):
             return None
         if not _positive_definite(Rs + lam * Pi + (gamma - lam) * Pj):
             return None
@@ -622,22 +645,31 @@ class _ActiveSetSolve:
         spec, gamma = self.spec, self.spec.gamma
         cost, cons = spec.cost, spec.constraints
         F_box = cons.E @ u - self.h
-        if (F_box > _TIE_TOL * (1.0 + np.abs(self.h))).any():
+        if any(f > _TIE_TOL * (1.0 + abs(h)) for f, h in zip(F_box.tolist(), self.h.tolist())):
             return None
         beta = cost.owner_max(terms)
         alpha = float(bvals.max())
         J_P = float(beta.sum() + gamma * alpha)
 
-        weights = np.asarray(weights)
         lam_beta = np.zeros(cost.J)
         lam_beta[act] = 1.0
         lam_alpha = np.zeros(len(bvals))
         lam_alpha[idx] = weights
-        nu = weights @ (self.Hb[idx] @ x_plus + self.lb[idx])
+        if len(idx) == 1:
+            # one active bound carries all of gamma: the weighted sums are gamma times its gradient and residual
+            i = idx[0]
+            nu = gamma * (self.Hb[i] @ x_plus + self.lb[i])
+            comp_bnd = [gamma * (bvals[i] - alpha)]
+            comp_bnd_sum = comp_bnd[0]
+        else:
+            weights = np.asarray(weights)
+            nu = weights @ (self.Hb[idx] @ x_plus + self.lb[idx])
+            F_bnd = bvals[idx] - alpha
+            comp_bnd, comp_bnd_sum = weights * F_bnd, weights @ F_bnd
         Rs, rs = self._summed(act)
         grad = rs + Rs @ u + self.W.T @ nu
         lam_c = np.zeros(cons.n_c)
-        if faces.any():
+        if any(faces.tolist()):
             # the binding row of each face coordinate is the one row_box took its bound from
             cols, coef = cons._box_rows
             row_bound = self.h / coef
@@ -645,17 +677,17 @@ class _ActiveSetSolve:
                 face = self.hi[k] if faces[k] > 0 else self.lo[k]
                 row = np.flatnonzero((cols == k) & (faces[k] * coef > 0) & (row_bound == face))[0]
                 lam_c[row] = max(-grad[k] / coef[row], 0.0)
+            grad = grad + cons.E.T @ lam_c  # with no face it adds +0, which |.| below does not see
 
         # dual objective and KKT residual as the Lagrangian at (u, lambda), with
         # the rows and residuals of the interior-point path; only the active
         # terms (lambda_beta = 1) and bounds (the weights) carry multipliers,
         # and the multiplier sums hold exactly by construction
         F_cost = terms[act] - beta
-        F_bnd = bvals[idx] - alpha
         comp_box = lam_c * F_box
-        J_D = float(beta.sum() + gamma * alpha + comp_box.sum() + F_cost.sum() + weights @ F_bnd)
+        J_D = float(J_P + comp_box.sum() + F_cost.sum() + comp_bnd_sum)
         kkt_residual = max(
-            float(np.abs(np.concatenate([grad + cons.E.T @ lam_c, comp_box, F_cost, weights * F_bnd])).max()),
+            float(np.abs(np.concatenate([grad, comp_box, F_cost, comp_bnd])).max()),
             float(F_box.max(initial=0.0)),
         )
         if kkt_residual > self.cfg.kkt_tol * (1.0 + abs(J_P)):

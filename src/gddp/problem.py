@@ -19,6 +19,7 @@ import copy
 import enum
 import functools
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -192,6 +193,20 @@ class DynamicsModel:
     @property
     def is_affine(self) -> bool:
         return self.A is not None
+
+    @functools.cached_property
+    def controllability_index(self) -> int:
+        """Smallest k with [B, AB, ..., A^{k-1}B] of full row rank; computed once, affine models only."""
+        A, B = self.A, self.B
+        n = A.shape[0]
+        blocks = []
+        Ak_B = B.copy()
+        for k in range(1, n + 1):
+            blocks.append(Ak_B)
+            if np.linalg.matrix_rank(np.hstack(blocks)) == n:
+                return k
+            Ak_B = A @ Ak_B
+        raise ValidationError("the pair (A, B) is not controllable")
 
     def drift(self, x: np.ndarray) -> np.ndarray:
         """f_x(x); accepts (..., n) batches."""
@@ -422,7 +437,14 @@ class InputConstraintSet:
 
         Every row of E must be a (scaled) +-unit vector; the rows are
         intersected at the given state.  Returns None when some row is not.
+        When no row depends on x, the bounds at a finite x are the same
+        read-only arrays on every call.
         """
+        if self._fixed_box is not None and all(map(math.isfinite, np.asarray(x, dtype=float).ravel().tolist())):
+            return self._fixed_box  # H x is +0 at a finite x, so h(x) equals h(0)
+        return self._intersect(x)
+
+    def _intersect(self, x: np.ndarray):
         rows = self._box_rows
         if rows is None:
             return None
@@ -435,6 +457,13 @@ class InputConstraintSet:
         np.minimum.at(hi, cols[upper], bound[upper])
         np.maximum.at(lo, cols[~upper], bound[~upper])
         return lo, hi
+
+    @functools.cached_property
+    def _fixed_box(self):
+        """row_box at x = 0, read-only, when every row is a box row and H is zero; else None."""
+        if self._box_rows is None or self.H.any():
+            return None
+        return tuple(_read_only(a) for a in self._intersect(np.zeros(self.H.shape[1])))
 
     def derived_box(self, x: np.ndarray):
         """Finite elementwise input bounds at x, or None when not box-shaped."""

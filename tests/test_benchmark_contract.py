@@ -5,6 +5,7 @@ the tracer patches, or changes what the tracer reads from a solve breaks
 traced benchmark runs; these checks catch that in the test suite.
 """
 
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 from gddp import onestage  # noqa: E402
-from gddp.problem import ValueApprox  # noqa: E402
+from gddp.problem import InputConstraintSet, ValueApprox  # noqa: E402
 from perfbench.tracing import FUNCTION_PATCHES, METHOD_PATCHES, Tracer  # noqa: E402
 
 from conftest import make_scalar_lqr  # noqa: E402
@@ -55,3 +56,27 @@ def test_traced_run_calls_bellman_error_and_appends_every_built_bound():
     assert result.converged and result.reused > 0
     assert table["driver.bellman_error"]["calls"] > 0
     assert table["onestage.build_lower_bound"]["calls"] == len(result.V_hat) - 1 == result.iterations_used
+
+
+def test_traced_certificate_makes_one_greedy_solve_per_step():
+    # the benchmark reads a certificate's cost through certify.greedy_action,
+    # onestage.solve_convex and certify.tail_completion; a certificate that
+    # steps without them hides the per-layer time of the one-stage solve
+    from gddp import GddpConfig, RandomSystemConfig, certify, driver, generate_random_system, sample_states
+
+    sys_cfg = RandomSystemConfig(n=2, m=1, sample_count=5)
+    rng = np.random.default_rng(3)
+    spec = generate_random_system(sys_cfg, rng)
+    spec = dataclasses.replace(spec, constraints=InputConstraintSet.box(-1e3 * np.ones(1), 1e3 * np.ones(1), 2))
+    V = driver.run(spec, sample_states(sys_cfg, rng), GddpConfig(check_every=1)).V_hat
+    tracer = Tracer()
+    with tracer:
+        cert = certify.certify_m1(spec, V, np.array([2.0, -1.5]), max_steps=6)
+    table = tracer.layer_table()
+    steps = len(cert.per_step_eps)
+    k = spec.dynamics.controllability_index
+    assert steps == 6 and np.count_nonzero(cert.per_step_theta) <= k  # the last k steps are the steering tail
+    assert table["certify.greedy_action"]["calls"] == steps  # tail steps included: one free optimum each
+    assert table["onestage.solve_convex"]["calls"] >= steps
+    assert table["certify.tail_completion"]["calls"] >= 1
+    assert table["certify.detour_cost"]["calls"] == k

@@ -617,6 +617,32 @@ def assert_bit_identical(a, b):
                 assert p == q, name
 
 
+def solve_reference_corpus():
+    """Exact one-stage solves on the inputs that the differential tests of the lean helpers run over.
+
+    The lqr-converge corpus, the set-up of the first certify-frozen system
+    (perfbench/workloads.py), a J > K spec whose state-dependent box ends
+    some solves on its faces, and a point off a crease that must be rejected.
+    """
+    cfg = gddp.GddpConfig(delta=1e-3, picker=gddp.Picker.MAX_BELLMAN_ERROR, check_every=1)
+    for spec, X in lqr_corpus():
+        gddp.run(spec, X, cfg)
+    sys_cfg = gddp.RandomSystemConfig(n=3, m=1, sample_count=10)
+    rng = np.random.default_rng([0, 1, 0])
+    spec = dataclasses.replace(
+        gddp.generate_random_system(sys_cfg, rng),
+        constraints=gddp.InputConstraintSet.box(-1e3 * np.ones(1), 1e3 * np.ones(1), 3),
+    )
+    cert_cfg = gddp.GddpConfig(delta=1e-3, max_iterations=100, picker=gddp.Picker.MAX_BELLMAN_ERROR, check_every=5)
+    gddp.run(spec, gddp.sample_states(sys_cfg, rng), cert_cfg)
+    spec = random_convex_spec(np.random.default_rng(7), 3, 3, 2, 4, 0.8)
+    V = ValueApprox.initial(spec)
+    for x in np.random.default_rng(8).normal(0.0, 3.0, size=(12, 3)):
+        primal, dual = solve_onestage_convex(spec, V, x)
+        V.append(build_lower_bound(spec, x, primal, dual, V))
+    TestExactActiveSet().test_non_stationary_point_is_rejected()
+
+
 class TestLeanPair:
     def test_bit_identical_to_the_full_row_reference(self, monkeypatch):
         lean = onestage._ActiveSetSolve._pair
@@ -633,27 +659,195 @@ class TestLeanPair:
             return got
 
         monkeypatch.setattr(onestage._ActiveSetSolve, "_pair", both)
-        cfg = gddp.GddpConfig(delta=1e-3, picker=gddp.Picker.MAX_BELLMAN_ERROR, check_every=1)
-        for spec, X in lqr_corpus():
-            gddp.run(spec, X, cfg)
-        # set-up of the first certify-frozen system (perfbench/workloads.py)
-        sys_cfg = gddp.RandomSystemConfig(n=3, m=1, sample_count=10)
-        rng = np.random.default_rng([0, 1, 0])
-        spec = dataclasses.replace(
-            gddp.generate_random_system(sys_cfg, rng),
-            constraints=gddp.InputConstraintSet.box(-1e3 * np.ones(1), 1e3 * np.ones(1), 3),
-        )
-        cert_cfg = gddp.GddpConfig(delta=1e-3, max_iterations=100, picker=gddp.Picker.MAX_BELLMAN_ERROR, check_every=5)
-        gddp.run(spec, gddp.sample_states(sys_cfg, rng), cert_cfg)
-        # several terms per owner, and a point off the crease that must be rejected
-        spec = random_convex_spec(np.random.default_rng(7), 3, 3, 2, 4, 0.8)
-        V = ValueApprox.initial(spec)
-        for x in np.random.default_rng(8).normal(0.0, 3.0, size=(12, 3)):
-            primal, dual = solve_onestage_convex(spec, V, x)
-            V.append(build_lower_bound(spec, x, primal, dual, V))
-        TestExactActiveSet().test_non_stationary_point_is_rejected()
+        solve_reference_corpus()
         assert seen["accepted"] > 500
         assert seen["rejected"] >= 1
+
+
+# Reference versions of the exact-path helpers, with every step written as a
+# numpy expression in the same order of operations.  The helpers in
+# gddp.onestage must reach the same decisions with the same bytes.
+
+
+def reference_box_point(lo, hi):
+    if np.any(lo > hi + 1e-12):
+        return None
+    mid = np.where(np.isfinite(lo) & np.isfinite(hi), 0.5 * (lo + hi), 0.0)
+    return np.clip(mid, lo, hi)
+
+
+def reference_row_box(cons, x):
+    rows = cons._box_rows
+    if rows is None:
+        return None
+    cols, coef = rows
+    m = cons.E.shape[1]
+    lo = np.full(m, -np.inf)
+    hi = np.full(m, np.inf)
+    bound = cons.rhs(x) / coef
+    upper = coef > 0
+    np.minimum.at(hi, cols[upper], bound[upper])
+    np.maximum.at(lo, cols[~upper], bound[~upper])
+    return lo, hi
+
+
+def reference_box_qp(Q, c, lo, hi):
+    u = np.linalg.solve(Q, -c)
+    if (u >= lo).all() and (u <= hi).all():
+        return u, np.zeros(len(c), dtype=int)
+    for faces, on, free in onestage._FACE_SETS[len(c)]:
+        u = np.where(faces < 0, lo, hi)
+        if not np.isfinite(u[on]).all():
+            continue
+        if len(free):
+            u[free] = np.linalg.solve(Q[free][:, free], -(c[free] + Q[free][:, on] @ u[on]))
+            if (u[free] < lo[free]).any() or (u[free] > hi[free]).any():
+                continue
+        Qu = Q @ u
+        if (faces * (Qu + c) > onestage._TIE_TOL * (1.0 + np.abs(c).max() + np.abs(Qu).max())).any():
+            continue
+        return u, faces
+    return None
+
+
+def reference_piece(self, i):
+    H, l, W = self.Hb[i], self.lb[i], self.W
+    grad0 = H @ self.drift + l
+    return W.T @ H @ W, W.T @ grad0, 0.5 * (grad0 + l) @ self.drift + self.cb[i]
+
+
+def reference_active(self, terms, bvals, act, idx):
+    top = bvals[idx].min()
+    if bvals.max() > top + onestage._TIE_TOL * (1.0 + abs(top)):
+        return False
+    t_act = terms[act]
+    return bool((self.spec.cost.owner_max(terms) <= t_act + onestage._TIE_TOL * (1.0 + np.abs(t_act))).all())
+
+
+def reference_kink(self, i, j, act, u_start):
+    """The kink Newton iteration with the KKT matrix built by np.block and np.append."""
+    gamma = self.spec.gamma
+    Rs, rs = self.R_stk[act].sum(axis=0), self.r_mat[act].sum(axis=0)
+    Pi, bi, ei = reference_piece(self, i)
+    Pj, bj, ej = reference_piece(self, j)
+    dP, db, de = Pi - Pj, bi - bj, ei - ej
+    u, lam = u_start, 0.5 * gamma
+    for _ in range(onestage._KINK_NEWTON_STEPS):
+        Hl = Rs + lam * Pi + (gamma - lam) * Pj
+        slope = dP @ u + db
+        kkt = np.block([[Hl, slope[:, None]], [slope[None, :], np.zeros((1, 1))]])
+        F = np.append(Hl @ u + rs + lam * bi + (gamma - lam) * bj, 0.5 * u @ dP @ u + db @ u + de)
+        try:
+            step = np.linalg.solve(kkt, -F)
+        except np.linalg.LinAlgError:
+            return None
+        u, lam = u + step[:-1], lam + step[-1]
+        if np.abs(step).max() <= 1e-12 * (1.0 + np.abs(u).max() + abs(lam)):
+            break
+    else:
+        return None
+    if not 0.0 <= lam <= gamma or (u <= self.lo).any() or (u >= self.hi).any():
+        return None
+    if not onestage._positive_definite(Rs + lam * Pi + (gamma - lam) * Pj):
+        return None
+    return u, onestage._split_gamma(gamma, lam)
+
+
+def assert_same_bytes(a, b):
+    """Equal structure, arrays with equal dtype, shape and bytes, floats with equal bits."""
+    if isinstance(a, (tuple, list)):
+        assert type(a) is type(b) and len(a) == len(b)
+        for x, y in zip(a, b):
+            assert_same_bytes(x, y)
+    elif isinstance(a, np.ndarray):
+        assert isinstance(b, np.ndarray) and a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    elif isinstance(a, float):
+        assert isinstance(b, float) and a.hex() == b.hex()
+    else:
+        assert a == b and type(a) is type(b)
+
+
+class TestLeanHelpers:
+    def test_bit_identical_to_the_reference_expressions(self, monkeypatch):
+        calls = {}
+
+        def compare(owner, name, reference, decision=lambda r: r is not None):
+            lean = getattr(owner, name)
+
+            def both(*args):
+                got, ref = lean(*args), reference(*args)
+                assert_same_bytes(got, ref)
+                key = (name, decision(ref))
+                calls[key] = calls.get(key, 0) + 1
+                return got
+
+            monkeypatch.setattr(owner, name, both)
+
+        Solve = onestage._ActiveSetSolve
+        compare(onestage, "_box_point", reference_box_point)
+        compare(onestage, "_box_qp", reference_box_qp, decision=lambda r: r is not None and bool(r[1].any()))
+        compare(Solve, "_piece", reference_piece)
+        compare(Solve, "_active", reference_active, decision=bool)
+        compare(Solve, "_kink", reference_kink)
+        compare(gddp.InputConstraintSet, "row_box", reference_row_box)
+        solve_reference_corpus()
+        # every helper ran, each outcome was seen, and some solves ended on a face
+        assert calls[("_box_point", True)] > 500 and calls[("_box_qp", True)] > 100
+        assert calls[("_piece", True)] > 500 and calls[("row_box", True)] > 500
+        assert calls[("_active", True)] > 500 and calls[("_active", False)] > 50
+        assert calls[("_kink", True)] > 20 and calls[("_kink", False)] >= 1
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [
+            ([-1.0, 0.0], [2.0, 3.0]),  # bounded
+            ([-np.inf, 0.5], [1.0, np.inf]),  # half-open on each side
+            ([-np.inf, -np.inf], [np.inf, np.inf]),  # unbounded
+            ([-0.0, 0.0], [np.inf, 0.0]),  # signed zeros on the faces
+            ([1e308, -1e308], [1e308, 1e308]),  # a midpoint sum that overflows
+            ([1.0, 0.0], [1.0 - 1e-13, 1.0]),  # empty within the 1e-12 slack: clipped to hi
+            ([2.0, 0.0], [1.0, 1.0]),  # empty
+            ([np.nan, 0.0], [1.0, np.nan]),  # NaN bounds propagate
+            ([], []),
+        ],
+    )
+    def test_box_point_matches_the_reference(self, lo, hi):
+        lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf and 1e308 + 1e308 in the reference
+            assert_same_bytes(onestage._box_point(lo, hi), reference_box_point(lo, hi))
+
+    def test_row_box_matches_the_reference_and_its_cached_box_is_read_only(self):
+        fixed = gddp.InputConstraintSet.box(np.array([0.0, -2.0]), np.array([1.0, 1.0]), 3)  # h0 holds -0.0
+        moving = gddp.InputConstraintSet(E=fixed.E, h0=fixed.h0, H=0.1 * np.ones((4, 3)))
+        no_state = gddp.InputConstraintSet(E=fixed.E, h0=fixed.h0, H=np.zeros((4, 0)))
+        one_sided = gddp.InputConstraintSet(E=[[1.0, 0.0], [0.0, -2.0]], h0=[1.0, -0.0], H=np.zeros((2, 3)))
+        general = gddp.InputConstraintSet(E=[[1.0, 1.0]], h0=[1.0], H=np.zeros((1, 3)))
+        states = [np.zeros(3), -np.ones(3), np.array([1e200, 0.0, -3.0]), np.array([np.nan, 0.0, 1.0]), np.r_[np.inf, 0.0, 0.0]]
+        with np.errstate(invalid="ignore"):  # 0 * inf in H x at the non-finite states
+            for cons in (fixed, moving, no_state, one_sided, general):
+                for x in states:
+                    assert_same_bytes(cons.row_box(x), reference_row_box(cons, x))
+        for cons in (fixed, no_state, one_sided):
+            box = cons.row_box(np.ones(3))
+            assert box is cons.row_box(-np.ones(3))
+            assert not any(a.flags.writeable for a in box)
+        assert moving.row_box(np.ones(3)) is not moving.row_box(np.ones(3))
+        assert general.row_box(np.zeros(3)) is None
+
+    def test_no_caller_writes_into_the_cached_box(self):
+        # a write into a read-only array raises, so each caller of row_box
+        # running to its end shows that it only reads the box
+        spec = make_scalar_lqr()
+        box = spec.constraints.row_box(np.zeros(1))
+        assert not box[0].flags.writeable and not box[1].flags.writeable
+        V = worked_value_approx(spec)
+        for x in ([2.0], [-3.0], [0.0]):
+            assert solve_onestage_convex(spec, V, x)[0].status is SolveStatus.OPTIMAL  # the exact path and _box_qp
+            brute, _ = solve_onestage_bruteforce(spec, V, x, SolverConfig(bruteforce_grid=51))
+            assert brute.status is SolveStatus.OPTIMAL
+            assert onestage._solve_convex_ipm(spec, V, x)[0].status is SolveStatus.OPTIMAL
+        assert gddp.validate_spec(spec).accepted
+        assert spec.constraints.derived_box(np.zeros(1)) is box
 
 
 def load_ipm_failure():
